@@ -22,7 +22,8 @@
 //!   script edits between evaluations (the synthesiser's mutate/undo
 //!   pattern). [`Objective::attach_sliced`] reroutes evaluation through
 //!   the bit-sliced engine ([`sc_sim::SlicedBatch`]) — 64 scenarios per
-//!   word, verdicts bitwise-identical, ≥ 20× faster on deep stacks.
+//!   word, verdicts bitwise-identical, ≥ 20× faster on deep stacks, but
+//!   always the full horizon (its docs say when that loses).
 //! * **Search strategies** — [`search::random_search`],
 //!   [`search::hill_climb`], [`search::beam_search`] and the structured
 //!   annealer [`search::anneal`] (faulty-row copies, round swaps, prefix
@@ -30,12 +31,13 @@
 //!   affordable), plus the combined [`search::search`] and the
 //!   bound-tightness sweep [`search::period_profile`]; all deterministic
 //!   from a seed and fanned out with [`std::thread::scope`] behind the
-//!   `parallel` feature.
+//!   `parallel` feature. With a goal ([`SearchConfig::target`]) a search
+//!   stops at the first script that reaches it.
 //! * **A synthesis pre-filter** — [`AttackPreFilter`] packages a budgeted
 //!   seeded search as a [`sc_verifier::CandidateFilter`]: candidates a
 //!   cheap scripted attack provably breaks never reach the exhaustive
 //!   solver. Reject-only by construction — see the soundness argument in
-//!   the module docs.
+//!   the module docs — so it searches with a goal: one unstable script.
 //!
 //! At verifier scale the two ends meet: on an instance the exhaustive
 //! checker refutes, a seeded search rediscovers a witness-equivalent

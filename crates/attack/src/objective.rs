@@ -42,9 +42,14 @@ pub struct Delay {
 /// The sweep is fixed up front — initial configurations are sampled **once**
 /// per seed, exactly as [`Simulation::new`] would sample them, and reused
 /// for every candidate — so two evaluations differ only in the adversary.
-/// The inner loop is [`Simulation::run_until_stable_early`]: scripted
-/// adversaries snapshot, so stabilised candidates exit at the first
-/// configuration recurrence instead of executing the full horizon.
+///
+/// There are two engines, verdict-identical on every script. By default the
+/// inner loop is the scalar [`Simulation::run_until_stable_early`]: scripted
+/// adversaries snapshot, so a run is decided at the first recurrence of a
+/// (configuration, script position) pair — stabilised or not — and never
+/// executes the rounds after it. [`Objective::attach_sliced`] swaps in the
+/// bit-sliced engine, which has no early exit and always executes the full
+/// horizon, 64 scenarios per word; see there for which one to pick.
 ///
 /// Candidates are edited **in place** between evaluations
 /// ([`Script::set_move`] mutate/undo); the harness never clones a script.
@@ -232,6 +237,22 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     /// protocol cannot lower this fault set. Delays are verdict-identical
     /// either way: the sliced engine feeds the same detector, and the
     /// equivalence is property-tested against [`Objective::evaluate_full`].
+    ///
+    /// # When to attach
+    ///
+    /// The sliced path gives up the early-decision exit: every evaluation
+    /// executes **all** `horizon` rounds for every lane group, and the
+    /// first evaluation of each new face pattern pays a lowering. That is
+    /// the right trade when the sweep fills its lanes and the horizon is
+    /// far below any recurrence — A(12,3) with 64 scenarios at 96 rounds,
+    /// or near-bound sweeps on A(36,7), whose configurations never recur
+    /// inside a horizon (≥ 20× the scalar path there). It is the wrong one
+    /// when the state space is tiny and the horizon covers it: with
+    /// `horizon ≥ |X|^n` every scripted lasso recurs early, the scalar path
+    /// stops after tens of rounds, and a sliced sweep with 4 of 64 lanes
+    /// occupied still runs the whole horizon — the synthesis pre-filter
+    /// ([`AttackPreFilter`](crate::AttackPreFilter)) measured 36× slower
+    /// attached than not at `n = 5, |X| = 3`, horizon 251.
     ///
     /// [`Objective::measure`] always stays scalar: it scores arbitrary
     /// [`Adversary`] impls, whose per-receiver leases have no lane-uniform

@@ -16,6 +16,14 @@
 //! restart count shrink the restart pool instead of overrunning; every
 //! strategy performs at least one evaluation, so a zero budget still
 //! costs one sweep per strategy invoked).
+//!
+//! A search may also carry a **goal**: with [`SearchConfig::target`] set,
+//! a task stops at the first evaluated script scoring `>= target`, and the
+//! report is defined in *task order* — tasks after the first one that
+//! reached the target contribute nothing to it, at any thread count (the
+//! serial path never runs them; the pool path discards them). A reject-only
+//! caller such as the synthesis pre-filter needs exactly one witness, not
+//! the strongest one the budget can buy.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +55,10 @@ pub struct SearchConfig {
     pub expansions: usize,
     /// Worker-thread cap for the `parallel` fan-out.
     pub threads: usize,
+    /// The goal: stop at the first evaluated script scoring `>= target`
+    /// (see the module docs). `None` spends the whole budget looking for
+    /// the strongest script.
+    pub target: Option<Delay>,
 }
 
 impl SearchConfig {
@@ -63,7 +75,13 @@ impl SearchConfig {
             beam_width: 4,
             expansions: 4,
             threads: sc_exec::threads(),
+            target: None,
         }
+    }
+
+    /// Whether `delay` reaches the configured goal (never, without one).
+    fn reached(&self, delay: Delay) -> bool {
+        self.target.is_some_and(|target| delay >= target)
     }
 }
 
@@ -124,7 +142,7 @@ where
     );
     let mut best = obj.evaluate(&best_script);
     let mut used = 1u64;
-    while used < slice {
+    while used < slice && !cfg.reached(best) {
         let candidate = Script::random(
             n,
             fault_set.clone(),
@@ -176,7 +194,7 @@ where
         for round in 0..cfg.rounds {
             for g in 0..fault_set.len() {
                 for &to in &receivers {
-                    if used >= slice {
+                    if used >= slice || cfg.reached(best) {
                         break 'passes;
                     }
                     let candidate = cfg.space.sample(&mut rng);
@@ -322,7 +340,7 @@ where
     let mut best = current.clone();
     let mut best_delay = current_delay;
     let mut used = 1u64;
-    while used < slice {
+    while used < slice && !cfg.reached(best_delay) {
         let rounds = current.len();
         // Row copy / round swap / crossover need two distinct rounds.
         let kind = if rounds >= 2 {
@@ -391,31 +409,40 @@ where
 }
 
 /// Folds per-task outcomes (in task order) into a report; ties keep the
-/// earliest task, so the result is scheduling-independent.
-fn fold(outcomes: Vec<(Script, Delay, u64)>) -> SearchReport {
+/// earliest task, so the result is scheduling-independent. The fold stops
+/// consuming at the first task that reached [`SearchConfig::target`]: fed
+/// lazily (the serial path) the later tasks never run, fed from a finished
+/// pool map they are discarded — the same report either way.
+fn fold(
+    cfg: &SearchConfig,
+    outcomes: impl IntoIterator<Item = (Script, Delay, u64)>,
+) -> SearchReport {
     let mut outcomes = outcomes.into_iter();
-    let (best, delay, mut evaluations) = outcomes.next().expect("at least one search task");
-    let (mut best, mut delay) = (best, delay);
-    for (script, d, used) in outcomes {
-        evaluations += used;
-        if d > delay {
-            delay = d;
-            best = script;
-        }
-    }
-    SearchReport {
+    let (best, delay, evaluations) = outcomes.next().expect("at least one search task");
+    let mut report = SearchReport {
         best,
         delay,
         evaluations,
+    };
+    while !cfg.reached(report.delay) {
+        let Some((script, delay, used)) = outcomes.next() else {
+            break;
+        };
+        report.evaluations += used;
+        if delay > report.delay {
+            report.delay = delay;
+            report.best = script;
+        }
     }
+    report
 }
 
 /// Runs `tasks` independent workers on the persistent [`sc_exec`] pool,
 /// capped at [`SearchConfig::threads`] executing threads. Each claiming
 /// thread builds one warm clone of the objective and reuses it across the
 /// tasks it claims; task results are pure functions of the task index and
-/// are folded in task order, so results are identical for any thread
-/// count.
+/// are folded in task order ([`fold`]), so results are identical for any
+/// thread count — with or without a [`SearchConfig::target`].
 #[cfg(feature = "parallel")]
 fn fan_out<P, R, W>(
     obj: &Objective<'_, P, R>,
@@ -434,18 +461,20 @@ where
     if threads == 1 {
         let mut local = obj.clone();
         return fold(
-            (0..tasks.max(1))
-                .map(|task| worker(&mut local, cfg, task, slice))
-                .collect(),
+            cfg,
+            (0..tasks.max(1)).map(|task| worker(&mut local, cfg, task, slice)),
         );
     }
     let locals: sc_exec::WorkerScratch<Objective<'_, P, R>> = sc_exec::WorkerScratch::new();
-    fold(sc_exec::map(tasks.max(1) as usize, threads, |task| {
-        locals.with(
-            || obj.clone(),
-            |local| worker(local, cfg, task as u64, slice),
-        )
-    }))
+    fold(
+        cfg,
+        sc_exec::map(tasks.max(1) as usize, threads, |task| {
+            locals.with(
+                || obj.clone(),
+                |local| worker(local, cfg, task as u64, slice),
+            )
+        }),
+    )
 }
 
 /// Serial scheduling (the `parallel` feature is disabled).
@@ -464,9 +493,8 @@ where
 {
     let mut local = obj.clone();
     fold(
-        (0..tasks.max(1))
-            .map(|task| worker(&mut local, cfg, task, slice))
-            .collect(),
+        cfg,
+        (0..tasks.max(1)).map(|task| worker(&mut local, cfg, task, slice)),
     )
 }
 
@@ -532,6 +560,13 @@ where
         let script = Script::random(n, fault_set.clone(), 1, 0, &cfg.space, &mut rng);
         let delay = obj.evaluate(&script);
         used += 1;
+        if cfg.reached(delay) {
+            return SearchReport {
+                best: script,
+                delay,
+                evaluations: used,
+            };
+        }
         beam.push((script, delay));
     }
     for _ in 1..cfg.rounds {
@@ -545,6 +580,13 @@ where
                 extended.push_round((0..width).map(|_| cfg.space.sample(&mut rng)).collect());
                 let delay = obj.evaluate(&extended);
                 used += 1;
+                if cfg.reached(delay) {
+                    return SearchReport {
+                        best: extended,
+                        delay,
+                        evaluations: used,
+                    };
+                }
                 candidates.push((extended, delay));
             }
         }
@@ -570,8 +612,9 @@ where
 
 /// The combined search: splits the budget over random restarts, beam
 /// search, structured annealing, and hill-climbing (which gets the
-/// largest share), and returns the strongest script found. Deterministic
-/// from the seed.
+/// largest share), and returns the strongest script found — or, with a
+/// [`SearchConfig::target`], stops after the first strategy that reached
+/// it. Deterministic from the seed.
 pub fn search<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
     P: Fingerprint + Sync,
@@ -587,12 +630,19 @@ where
     let mut climb_cfg = cfg.clone();
     climb_cfg.budget = cfg.budget - random_cfg.budget - beam_cfg.budget - anneal_cfg.budget;
 
+    // The four strategies are the combined search's tasks, in this order:
+    // like `fold`, stop running them once one has reached the target.
     let mut best = random_search(obj, &random_cfg);
-    for candidate in [
-        beam_search(obj, &beam_cfg),
-        anneal(obj, &anneal_cfg),
-        hill_climb(obj, &climb_cfg),
-    ] {
+    let rest: [&dyn Fn() -> SearchReport; 3] = [
+        &|| beam_search(obj, &beam_cfg),
+        &|| anneal(obj, &anneal_cfg),
+        &|| hill_climb(obj, &climb_cfg),
+    ];
+    for strategy in rest {
+        if cfg.reached(best.delay) {
+            break;
+        }
+        let candidate = strategy();
         best.evaluations += candidate.evaluations;
         if candidate.delay > best.delay {
             best.best = candidate.best;
@@ -628,7 +678,8 @@ pub struct PeriodPoint {
 /// returns `None` unless the objective has a sliced path attached
 /// ([`Objective::attach_sliced`]). The budget is split evenly across the
 /// divisors; each period reseeds deterministically from
-/// [`SearchConfig::seed`].
+/// [`SearchConfig::seed`], and a [`SearchConfig::target`] applies to each
+/// period's search on its own.
 pub fn period_profile<P, R>(
     obj: &Objective<'_, P, R>,
     cfg: &SearchConfig,
@@ -732,6 +783,19 @@ mod tests {
         assert_eq!(d.best, e.best, "annealing is thread-count invariant");
         assert_eq!(d.delay, e.delay);
         assert_eq!(d.evaluations, e.evaluations);
+        // With a goal the report is defined in task order: the first
+        // evaluation of task 0 reaches the minimum delay, so task 1 — which
+        // the pool path may already have run — must not show in it.
+        one.target = Some(Delay::default());
+        many.target = one.target;
+        for strategy in [hill_climb, anneal] {
+            let serial = strategy(&obj, &one);
+            let pooled = strategy(&obj, &many);
+            assert_eq!(serial.evaluations, 1);
+            assert_eq!(serial.best, pooled.best);
+            assert_eq!(serial.delay, pooled.delay);
+            assert_eq!(serial.evaluations, pooled.evaluations);
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! * `SlicedBatch` verdicts on a real lowered protocol (A(4,1)) are
 //!   bitwise identical at thread caps 1, 2 and 7;
 //! * `search` (random + hill-climb) returns the same best script, delay
-//!   and evaluation count at those caps;
+//!   and evaluation count at those caps — and so do `random_search`,
+//!   `hill_climb` and `anneal` with a `SearchConfig::target`, whichever
+//!   task reaches it (the report is defined in task order, so the tasks a
+//!   serial run never starts must not leak in from the pool);
 //! * a `sweep_family` campaign with the attack pre-filter produces an
 //!   identical checkpoint — ledger, survivors, finds — and identical
 //!   filter audit counters on explicit 1-, 2- and 7-thread pools,
@@ -11,8 +14,8 @@
 //!   resumed through the checkpoint codec mid-campaign.
 
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
-use sc_attack::search::random_search;
-use sc_attack::{AttackPreFilter, MoveSpace, SearchConfig};
+use sc_attack::search::{anneal, hill_climb, random_search};
+use sc_attack::{AttackPreFilter, Delay, MoveSpace, Objective, SearchConfig, SearchReport};
 use sc_core::{Algorithm, CounterBuilder};
 use sc_sim::{sliced_crash, Scenario, SlicedBatch};
 use sc_verifier::{sweep_family_on, Analyzer, SweepCheckpoint, SymmetricFamily};
@@ -64,6 +67,43 @@ proptest! {
             prop_assert_eq!(&one.best, &many.best, "cap {}", threads);
             prop_assert_eq!(one.delay, many.delay, "cap {}", threads);
             prop_assert_eq!(one.evaluations, many.evaluations, "cap {}", threads);
+        }
+    }
+
+    #[test]
+    fn targeted_search_reports_are_identical_at_caps_1_2_and_7(seed in proptest::any::<u64>()) {
+        let algo = a4();
+        let mut obj = Objective::new(&algo, &algo, vec![1], 0..4, 64).unwrap();
+        obj.attach_sliced();
+        let space = MoveSpace { raw_values: 5, salts: 2, max_lag: 2 };
+        let mut cfg = SearchConfig::new(3, space, seed);
+        cfg.budget = 24;
+        type Strategy<'a> =
+            fn(&Objective<'a, Algorithm, &'a Algorithm>, &SearchConfig) -> SearchReport;
+        let strategies: [(&str, Strategy<'_>); 3] = [
+            ("random_search", random_search),
+            ("hill_climb", hill_climb),
+            ("anneal", anneal),
+        ];
+        for (name, strategy) in strategies {
+            cfg.threads = 1;
+            cfg.target = None;
+            let whole = strategy(&obj, &cfg);
+            // Reached by the very first evaluation of task 0; by whichever
+            // task found the un-targeted best; by no task at all.
+            let never = Delay { worst: u64::MAX, ..whole.delay };
+            for target in [Delay::default(), whole.delay, never] {
+                cfg.target = Some(target);
+                cfg.threads = 1;
+                let one = strategy(&obj, &cfg);
+                for threads in [2, 7] {
+                    cfg.threads = threads;
+                    let many = strategy(&obj, &cfg);
+                    prop_assert_eq!(&one.best, &many.best, "{} cap {}", name, threads);
+                    prop_assert_eq!(one.delay, many.delay, "{} cap {}", name, threads);
+                    prop_assert_eq!(one.evaluations, many.evaluations, "{} cap {}", name, threads);
+                }
+            }
         }
     }
 }
