@@ -45,8 +45,8 @@ impl RawState<CounterState> for Algorithm {
     /// own state sampler.
     fn raw_state(&self, node: NodeId, value: u8) -> CounterState {
         match self {
-            Algorithm::Trivial(t) => CounterState::Trivial(u64::from(value) % t.modulus()),
-            Algorithm::Lut(l) => CounterState::Lut(l.clamp(value)),
+            Algorithm::Trivial(t) => CounterState::new((u64::from(value) % t.modulus()).into()),
+            Algorithm::Lut(l) => CounterState::new(l.clamp(value).into()),
             Algorithm::Boosted(_) => self.random_state(node, &mut palette_rng(value)),
         }
     }
@@ -368,9 +368,9 @@ mod tests {
             stabilization_bound: 0,
         })
         .unwrap();
-        assert_eq!(algo.raw_state(NodeId::new(0), 1), CounterState::Lut(1));
-        assert_eq!(algo.raw_state(NodeId::new(2), 0), CounterState::Lut(0));
+        assert_eq!(algo.raw_state(NodeId::new(0), 1), CounterState::new(1));
+        assert_eq!(algo.raw_state(NodeId::new(2), 0), CounterState::new(0));
         // Out-of-range vocabulary indices clamp into the state space.
-        assert_eq!(algo.raw_state(NodeId::new(0), 7), CounterState::Lut(1));
+        assert_eq!(algo.raw_state(NodeId::new(0), 7), CounterState::new(1));
     }
 }

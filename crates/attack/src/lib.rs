@@ -27,9 +27,10 @@
 //! * **Search strategies** — [`search::random_search`],
 //!   [`search::hill_climb`], [`search::beam_search`] and the structured
 //!   annealer [`search::anneal`] (faulty-row copies, round swaps, prefix
-//!   crossover between elite scripts — moves the cheap sliced evals make
-//!   affordable), plus the combined [`search::search`] and the
-//!   bound-tightness sweep [`search::period_profile`]; all deterministic
+//!   crossover between elite scripts — moves worth their evaluations once
+//!   an evaluation is cheap, sliced or early-decided), plus the combined
+//!   [`search::search`] and the bound-tightness sweep
+//!   [`search::period_profile`]; all deterministic
 //!   from a seed and fanned out with [`std::thread::scope`] behind the
 //!   `parallel` feature. With a goal ([`SearchConfig::target`]) a search
 //!   stops at the first script that reaches it.
@@ -78,15 +79,15 @@
 //! // Import the witness as a script and drive the real engine with it.
 //! let script = Script::from_witness(&witness);
 //! let algo = Algorithm::lut(spec)?;
-//! let mut states = vec![CounterState::Lut(0); 4];
+//! let mut states = vec![CounterState::new(0); 4];
 //! for (hi, &node) in witness.honest.iter().enumerate() {
-//!     states[node] = CounterState::Lut(witness.configs[0][hi]);
+//!     states[node] = CounterState::new(witness.configs[0][hi].into());
 //! }
 //! let adversary = ScriptedAdversary::new(&script, &algo);
 //! let mut sim = Simulation::with_states(&algo, adversary, states, 0);
 //! sim.step();
 //! for (hi, &node) in witness.honest.iter().enumerate() {
-//!     assert_eq!(sim.states()[node], CounterState::Lut(witness.configs[1][hi]));
+//!     assert_eq!(sim.states()[node], CounterState::new(witness.configs[1][hi].into()));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

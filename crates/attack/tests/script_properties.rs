@@ -93,9 +93,9 @@ proptest! {
         };
         let algo = Algorithm::Lut(lut);
         let script = Script::from_witness(&witness);
-        let mut states = vec![CounterState::Lut(0); 4];
+        let mut states = vec![CounterState::new(0); 4];
         for (hi, &node) in witness.honest.iter().enumerate() {
-            states[node] = CounterState::Lut(witness.configs[0][hi]);
+            states[node] = CounterState::new(witness.configs[0][hi].into());
         }
         let adversary = sc_attack::ScriptedAdversary::new(&script, &algo);
         let mut sim = Simulation::with_states(&algo, adversary, states, 0);
@@ -110,7 +110,7 @@ proptest! {
             for (hi, &node) in witness.honest.iter().enumerate() {
                 prop_assert_eq!(
                     &sim.states()[node],
-                    &CounterState::Lut(witness.configs[idx][hi]),
+                    &CounterState::new(witness.configs[idx][hi].into()),
                     "round {} diverged at node {}", t, node
                 );
             }

@@ -20,7 +20,7 @@ fn main() {
         .unwrap()
         .build()
         .unwrap();
-    let boosted = algo.as_boosted_counter().unwrap();
+    let boosted = algo.boosting_layer().unwrap();
     let p = boosted.params().clone();
     println!("# E2 / Figure 1 — leader pointers coincide\n");
     println!(
@@ -45,10 +45,10 @@ fn main() {
                 pointers[block].push(usize::MAX); // faulty block: no data
                 continue;
             }
-            let state: &CounterState = &sim.states()[node.index()];
+            let state: CounterState = sim.states()[node.index()];
             let value = boosted
                 .inner()
-                .output(NodeId::new(0), state.as_boosted_inner());
+                .output(NodeId::new(0), &boosted.inner_of(state));
             pointers[block].push(p.pointer(block, value).b);
         }
         sim.step();

@@ -1,9 +1,9 @@
 //! E4 — the scaling claims of Theorems 2–3 (the "this work" row of
 //! Table 1): stabilisation time linear in `f`, state polylogarithmic in `f`.
 //!
-//! Measures a k = 3 stack at f = 1, 3, 7, 15 and prints the analytic plans
-//! of the fixed-k (Theorem 2) and varying-k (Theorem 3) schedules as an
-//! ablation of the schedule choice.
+//! Measures a k = 3 stack at f = 1, 3, 7, 15 (f = 31 by its plan) and
+//! prints the analytic plans of the fixed-k (Theorem 2) and varying-k
+//! (Theorem 3) schedules as an ablation of the schedule choice.
 
 use sc_bench::{measure_stabilization, print_table, summarize};
 use sc_core::CounterBuilder;
@@ -17,7 +17,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut builder = CounterBuilder::corollary1(1, 2).unwrap();
     let mut measured: Vec<(usize, u64, u32)> = Vec::new();
-    for level in 0..3 {
+    for _ in 0..4 {
         let algo = builder.build().unwrap();
         let (n, f) = (algo.n(), algo.resilience());
         // One faulty block (f_inner+1 faults) + the rest spread, the worst
@@ -49,35 +49,24 @@ fn main() {
             algo.state_bits().to_string(),
         ]);
         measured.push((f, bound, algo.state_bits()));
-        if level < 2 {
-            builder = builder.boost(3).unwrap();
-        }
+        builder = builder.boost(3).unwrap();
     }
-    // Larger stacks: analytic rows (simulating N = 108 for ~8k rounds per
-    // run across the whole suite is minutes of work; the bound is exact).
-    for extra in [1usize, 2] {
-        let mut b = CounterBuilder::corollary1(1, 2)
-            .unwrap()
-            .boost(3)
-            .unwrap()
-            .boost(3)
-            .unwrap();
-        for _ in 0..extra {
-            b = b.boost(3).unwrap();
-        }
-        let plan = b.plan().unwrap();
-        let top = plan.last().unwrap();
-        rows.push(vec![
-            top.f.to_string(),
-            top.n.to_string(),
-            "(analytic)".into(),
-            "(analytic)".into(),
-            top.time_bound.to_string(),
-            format!("{:.0}", top.time_bound as f64 / top.f as f64),
-            top.state_bits.to_string(),
-        ]);
-        measured.push((top.f, top.time_bound, top.state_bits));
-    }
+    // f = 31 stays analytic: a round of A(324,31) costs ~9× one of
+    // A(108,15) (N² messages) and its horizon is 1.8× as long, so its twelve
+    // runs alone would take this table from twenty seconds to several
+    // minutes. The 65-bit state runs on the same engine; the bound is exact.
+    let plan = builder.plan().unwrap();
+    let top = plan.last().unwrap();
+    rows.push(vec![
+        top.f.to_string(),
+        top.n.to_string(),
+        "(analytic)".into(),
+        "(analytic)".into(),
+        top.time_bound.to_string(),
+        format!("{:.0}", top.time_bound as f64 / top.f as f64),
+        top.state_bits.to_string(),
+    ]);
+    measured.push((top.f, top.time_bound, top.state_bits));
     print_table(
         &[
             "f",

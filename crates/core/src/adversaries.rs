@@ -27,7 +27,7 @@ use sc_sim::adversaries::{donor_id, normalize_faults, FacePair};
 use sc_sim::{Adversary, MessageSource, RoundContext, StatePool};
 
 use crate::algorithm::{Algorithm, CounterState};
-use crate::boosted::BoostedState;
+use crate::boosted::BoostedCounter;
 
 /// King equivocation against a [`BoostedCounter`](crate::BoostedCounter).
 ///
@@ -44,14 +44,11 @@ pub fn bad_king(
     algorithm: &Algorithm,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> BadKing {
-    let c_out = algorithm
-        .as_boosted_counter()
-        .expect("bad_king attacks the boosted construction")
-        .params()
-        .c_out();
+) -> BadKing<'_> {
     BadKing {
-        c_out,
+        counter: algorithm
+            .boosting_layer()
+            .expect("bad_king attacks the boosted construction"),
         faulty: normalize_faults(faulty),
         rng: SmallRng::seed_from_u64(seed),
         faces: (0, 0),
@@ -61,15 +58,15 @@ pub fn bad_king(
 
 /// Adversary produced by [`bad_king`].
 #[derive(Clone, Debug)]
-pub struct BadKing {
-    c_out: u64,
+pub struct BadKing<'a> {
+    counter: &'a BoostedCounter,
     faulty: Vec<NodeId>,
     rng: SmallRng,
     faces: (u64, u64),
     leases: Option<FacePair>,
 }
 
-impl Adversary<CounterState> for BadKing {
+impl Adversary<CounterState> for BadKing<'_> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }
@@ -79,25 +76,24 @@ impl Adversary<CounterState> for BadKing {
         ctx: &RoundContext<'_, CounterState>,
         pool: &mut StatePool<CounterState>,
     ) {
-        let x = self.rng.random_range(0..self.c_out);
+        let counter = self.counter;
+        let c_out = counter.params().c_out();
+        let x = self.rng.random_range(0..c_out);
         // A maximally confusing pair: a real value against a nearby value or
         // the reset state ∞.
         let y = match self.rng.random_range(0..3u8) {
             0 => INFINITY,
-            1 => (x + 1) % self.c_out,
-            _ => self.rng.random_range(0..self.c_out),
+            1 => (x + 1) % c_out,
+            _ => self.rng.random_range(0..c_out),
         };
         self.faces = (x, y);
         // Materialise both faces once for the whole round: every receiver of
         // the same parity leases the same fabricated state.
         let mut face = |a: u64, rng: &mut SmallRng| {
             let donor = donor_id(ctx, rng.random_range(0..usize::MAX));
-            let inner = ctx.honest[donor.index()].as_boosted().inner.clone();
+            let inner = counter.inner_of(ctx.honest[donor.index()]);
             let d = rng.random_bool(0.5);
-            pool.fabricate(CounterState::Boosted(Box::new(BoostedState {
-                inner,
-                regs: PkRegisters::new(a, d),
-            })))
+            pool.fabricate(counter.with(inner, PkRegisters::new(a, d)))
         };
         self.leases = Some(FacePair {
             even: face(x, &mut self.rng),
@@ -137,21 +133,11 @@ pub fn pointer_split(
     algorithm: &Algorithm,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> PointerSplit {
-    let b = algorithm
-        .as_boosted_counter()
-        .expect("pointer_split attacks the boosted construction");
-    let p = b.params();
-    let trivial_inner_modulus = match b.inner() {
-        Algorithm::Trivial(t) => Some(t.modulus()),
-        _ => None,
-    };
+) -> PointerSplit<'_> {
     PointerSplit {
-        tau: p.tau(),
-        m: p.m(),
-        n_inner: p.n_inner(),
-        c_out: p.c_out(),
-        trivial_inner_modulus,
+        counter: algorithm
+            .boosting_layer()
+            .expect("pointer_split attacks the boosted construction"),
         faulty: normalize_faults(faulty),
         rng: SmallRng::seed_from_u64(seed),
     }
@@ -159,17 +145,13 @@ pub fn pointer_split(
 
 /// Adversary produced by [`pointer_split`].
 #[derive(Clone, Debug)]
-pub struct PointerSplit {
-    tau: u64,
-    m: usize,
-    n_inner: usize,
-    c_out: u64,
-    trivial_inner_modulus: Option<u64>,
+pub struct PointerSplit<'a> {
+    counter: &'a BoostedCounter,
     faulty: Vec<NodeId>,
     rng: SmallRng,
 }
 
-impl Adversary<CounterState> for PointerSplit {
+impl Adversary<CounterState> for PointerSplit<'_> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }
@@ -181,32 +163,24 @@ impl Adversary<CounterState> for PointerSplit {
         ctx: &RoundContext<'_, CounterState>,
         pool: &mut StatePool<CounterState>,
     ) -> MessageSource {
-        let donor = donor_id(ctx, to.index());
-        let donor_state = &ctx.honest[donor.index()];
-        let Some(c_inner) = self.trivial_inner_modulus else {
+        let (counter, p) = (self.counter, self.counter.params());
+        let donor_state = ctx.honest[donor_id(ctx, to.index()).index()];
+        let Algorithm::Trivial(inner) = counter.inner() else {
             // Deep inner counters: donor mirroring with scrambled registers.
-            let inner = donor_state.as_boosted().inner.clone();
-            let a = self.rng.random_range(0..self.c_out);
-            return pool.fabricate(CounterState::Boosted(Box::new(BoostedState {
-                inner,
-                regs: PkRegisters::new(a, true),
-            })));
+            let a = self.rng.random_range(0..p.c_out());
+            let mirrored = counter.with(counter.inner_of(donor_state), PkRegisters::new(a, true));
+            return pool.fabricate(mirrored);
         };
         // Corollary 1 topology: fabricate a counter value that keeps the
         // donor's slot phase r but points receiver `to` at leader block
         // `to mod m`, i.e. v = r + τ·(b·(2m)^i) for this node's block i.
-        let donor_value = donor_state.as_boosted().inner.as_trivial();
-        let r = donor_value % self.tau;
-        let block = from.index() / self.n_inner;
-        let two_m = 2 * self.m as u64;
-        let target_b = (to.index() % self.m) as u64;
-        let y = target_b * two_m.pow(block as u32);
-        let v = (r + self.tau * y) % c_inner;
-        let regs = donor_state.as_boosted().regs;
-        pool.fabricate(CounterState::Boosted(Box::new(BoostedState {
-            inner: CounterState::Trivial(v),
-            regs,
-        })))
+        let donor_value = counter.inner().trivial_of(counter.inner_of(donor_state));
+        let r = donor_value % p.tau();
+        let (block, _) = p.block_of(from);
+        let target_b = (to.index() % p.m()) as u64;
+        let y = target_b * (2 * p.m() as u64).pow(block as u32);
+        let v = (r + p.tau() * y) % inner.modulus();
+        pool.fabricate(counter.with(CounterState::new(v.into()), counter.regs_of(donor_state)))
     }
 }
 
@@ -242,7 +216,8 @@ mod tests {
         let odd_src = adv.message(NodeId::new(0), NodeId::new(3), &ctx, &mut pool);
         let even = pool.resolve(round.honest(), even_src);
         let odd = pool.resolve(round.honest(), odd_src);
-        let (ea, oa) = (even.as_boosted().regs.a, odd.as_boosted().regs.a);
+        let b = algo.boosting_layer().unwrap();
+        let (ea, oa) = (b.regs_of(*even).a, b.regs_of(*odd).a);
         // Faces are fixed per round and assigned by receiver parity.
         assert_eq!(ea, adv.faces.0);
         assert_eq!(oa, adv.faces.1);
@@ -259,7 +234,7 @@ mod tests {
     #[test]
     fn pointer_split_targets_distinct_leaders() {
         let algo = a4();
-        let b = algo.as_boosted_counter().unwrap();
+        let b = algo.boosting_layer().unwrap();
         let mut adv = pointer_split(&algo, [1], 3);
         let round = round_of(&algo, 2, 1);
         let mut pool = StatePool::new();
@@ -270,8 +245,8 @@ mod tests {
         let to3 = adv.message(NodeId::new(1), NodeId::new(3), &ctx, &mut pool);
         let to0 = pool.resolve(round.honest(), to0);
         let to3 = pool.resolve(round.honest(), to3);
-        let b0 = p.pointer(1, to0.as_boosted().inner.as_trivial()).b;
-        let b3 = p.pointer(1, to3.as_boosted().inner.as_trivial()).b;
+        let b0 = p.pointer(1, b.inner().trivial_of(b.inner_of(*to0))).b;
+        let b3 = p.pointer(1, b.inner().trivial_of(b.inner_of(*to3))).b;
         assert_eq!(b0, 0); // receiver 0 mod m=2
         assert_eq!(b3, 1); // receiver 3 mod m=2
     }

@@ -1,12 +1,13 @@
 //! The runtime-recursive counter algorithm type.
 
 use rand::RngCore;
+use sc_consensus::INFINITY;
 use sc_protocol::{
     BitReader, BitVec, CodecError, Counter, Fingerprint, MessageView, NodeId, ParamError,
     StepContext, SyncProtocol,
 };
 
-use crate::boosted::{BoostedCounter, BoostedState};
+use crate::boosted::BoostedCounter;
 use crate::lut::{LutCounter, LutSpec};
 use crate::params::BoostParams;
 use crate::trivial::TrivialCounter;
@@ -48,66 +49,65 @@ pub enum Algorithm {
     Boosted(Box<BoostedCounter>),
 }
 
-/// The state of one node running an [`Algorithm`]; variants mirror the
-/// algorithm variants.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum CounterState {
-    /// Counter value of the trivial counter.
-    Trivial(u64),
-    /// State index of a table-driven counter.
-    Lut(u8),
-    /// Inner state and phase-king registers of a boosted counter.
-    Boosted(Box<BoostedState>),
-}
+/// The state of one node running an [`Algorithm`]: the `S(A)` bits of the
+/// paper as one machine word — the integer the codec writes, nothing else.
+///
+/// A trivial counter's word is its value, a table-driven counter's its
+/// state index; a boosted counter's holds, from the top down, the inner
+/// counter's word, the register `a` (`∞ ↦ C`) and the flag `d` in bit 0.
+/// Only the algorithm knows the field widths, so fields are read through
+/// it — [`Algorithm::trivial_of`], [`Algorithm::lut_of`],
+/// [`BoostedCounter::inner_of`] and [`regs_of`](BoostedCounter::regs_of) —
+/// and put together by [`BoostedCounter::with`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct CounterState(u128);
 
 impl CounterState {
-    /// The trivial counter value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this state belongs to a different algorithm kind.
-    #[track_caller]
-    pub fn as_trivial(&self) -> u64 {
-        match self {
-            CounterState::Trivial(v) => *v,
-            other => panic!("expected trivial state, got {other:?}"),
+    /// The state whose packed word is `word`.
+    pub const fn new(word: u128) -> Self {
+        CounterState(word)
+    }
+
+    /// The packed word.
+    pub const fn word(self) -> u128 {
+        self.0
+    }
+}
+
+/// One level's received vector inside the outermost view: the nodes
+/// `offset..` of `view`, each word shifted down to that level's state. A
+/// block's inner counter reads a deeper window of the same view, so no
+/// level ever copies or collects states.
+#[derive(Clone, Copy)]
+pub(crate) struct Window<'v, 'a> {
+    view: &'v MessageView<'a, CounterState>,
+    offset: usize,
+    shift: u32,
+}
+
+impl<'v, 'a> Window<'v, 'a> {
+    /// The whole view, as the outermost algorithm receives it.
+    pub(crate) fn top(view: &'v MessageView<'a, CounterState>) -> Self {
+        Window {
+            view,
+            offset: 0,
+            shift: 0,
         }
     }
 
-    /// The LUT state index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this state belongs to a different algorithm kind.
-    #[track_caller]
-    pub fn as_lut(&self) -> u8 {
-        match self {
-            CounterState::Lut(s) => *s,
-            other => panic!("expected LUT state, got {other:?}"),
-        }
+    /// The state received from node `j` of this level.
+    pub(crate) fn get(&self, j: usize) -> CounterState {
+        CounterState(self.view.get(NodeId::new(self.offset + j)).0 >> self.shift)
     }
 
-    /// The boosted state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this state belongs to a different algorithm kind.
-    #[track_caller]
-    pub fn as_boosted(&self) -> &BoostedState {
-        match self {
-            CounterState::Boosted(b) => b,
-            other => panic!("expected boosted state, got {other:?}"),
+    /// The inner states of the block starting at this level's node
+    /// `first`, `below` bits further down the words.
+    pub(crate) fn block(&self, first: usize, below: u32) -> Self {
+        Window {
+            view: self.view,
+            offset: self.offset + first,
+            shift: self.shift + below,
         }
-    }
-
-    /// The inner counter state of a boosted state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this state belongs to a different algorithm kind.
-    #[track_caller]
-    pub fn as_boosted_inner(&self) -> &CounterState {
-        &self.as_boosted().inner
     }
 }
 
@@ -138,8 +138,9 @@ impl Algorithm {
     /// # Errors
     ///
     /// Returns [`ParamError`] when the preconditions of Theorem 1 fail (see
-    /// [`BoostParams::new`]) or `inner` does not match them (see
-    /// [`BoostedCounter::new`]).
+    /// [`BoostParams::new`]), `inner` does not match them (see
+    /// [`BoostedCounter::new`]), or the boosted state would need more than
+    /// the 128 bits of a [`CounterState`].
     pub fn boosted(
         inner: Algorithm,
         k: usize,
@@ -155,7 +156,7 @@ impl Algorithm {
     }
 
     /// The boosting layer, if this algorithm is a boosted counter.
-    pub fn as_boosted_counter(&self) -> Option<&BoostedCounter> {
+    pub fn boosting_layer(&self) -> Option<&BoostedCounter> {
         match self {
             Algorithm::Boosted(b) => Some(b),
             _ => None,
@@ -167,6 +168,55 @@ impl Algorithm {
         match self {
             Algorithm::Boosted(b) => 1 + b.inner().depth(),
             _ => 0,
+        }
+    }
+
+    /// The value a trivial counter's `state` holds.
+    pub fn trivial_of(&self, state: CounterState) -> u64 {
+        state.0 as u64
+    }
+
+    /// The state number a table-driven counter's `state` holds.
+    pub fn lut_of(&self, state: CounterState) -> u8 {
+        state.0 as u8
+    }
+
+    /// [`SyncProtocol::step`] of this level's node `node` on its window of
+    /// the outermost view.
+    pub(crate) fn step_in(
+        &self,
+        node: usize,
+        received: Window<'_, '_>,
+        ctx: &mut StepContext<'_>,
+    ) -> CounterState {
+        match self {
+            Algorithm::Trivial(t) => CounterState(t.next(received.get(node).0 as u64).into()),
+            Algorithm::Lut(l) => {
+                let received = (0..l.spec().n).map(|u| l.clamp(received.get(u).0 as u8));
+                CounterState(l.next(node, received).into())
+            }
+            Algorithm::Boosted(b) => b.step(node, received, ctx),
+        }
+    }
+
+    /// Checks every field of `state` against its domain, innermost first
+    /// (the order the codec writes them).
+    fn validate(&self, state: CounterState) -> Result<(), CodecError> {
+        let word = state.0 as u64;
+        let (field, value, valid) = match self {
+            Algorithm::Trivial(t) => ("trivial counter", word, word < t.modulus()),
+            Algorithm::Lut(l) => ("LUT state", word, word < u64::from(l.states())),
+            Algorithm::Boosted(b) => {
+                b.inner().validate(b.inner_of(state))?;
+                let a = b.regs_of(state).a;
+                let valid = a == INFINITY || a < b.params().c_out();
+                ("phase-king register a", a, valid)
+            }
+        };
+        if valid {
+            Ok(())
+        } else {
+            Err(CodecError::InvalidField { field, value })
         }
     }
 }
@@ -188,29 +238,26 @@ impl SyncProtocol for Algorithm {
         view: &MessageView<'_, CounterState>,
         ctx: &mut StepContext<'_>,
     ) -> CounterState {
-        match self {
-            Algorithm::Trivial(t) => CounterState::Trivial(t.next(view.get(node).as_trivial())),
-            Algorithm::Lut(l) => {
-                let received: Vec<u8> = view.iter().map(|s| l.clamp(s.as_lut())).collect();
-                CounterState::Lut(l.next(node.index(), &received))
-            }
-            Algorithm::Boosted(b) => CounterState::Boosted(Box::new(b.step(node, view, ctx))),
-        }
+        self.step_in(node.index(), Window::top(view), ctx)
     }
 
+    #[inline]
     fn output(&self, node: NodeId, state: &CounterState) -> u64 {
         match self {
-            Algorithm::Trivial(t) => state.as_trivial() % t.modulus(),
-            Algorithm::Lut(l) => l.output(node.index(), state.as_lut()),
-            Algorithm::Boosted(b) => state.as_boosted().regs.output(b.params().c_out()),
+            // In range unless fabricated; the division is for those.
+            Algorithm::Trivial(t) if (state.0 as u64) < t.modulus() => state.0 as u64,
+            Algorithm::Trivial(t) => state.0 as u64 % t.modulus(),
+            Algorithm::Lut(l) => l.output(node.index(), state.0 as u8),
+            Algorithm::Boosted(b) => b.regs_of(*state).output(b.params().c_out()),
         }
     }
 
     fn random_state(&self, node: NodeId, rng: &mut dyn RngCore) -> CounterState {
+        assert!(node.index() < self.n(), "node {node} outside the network");
         match self {
-            Algorithm::Trivial(t) => CounterState::Trivial(rng.next_u64() % t.modulus()),
-            Algorithm::Lut(l) => CounterState::Lut(l.clamp(rng.next_u64() as u8)),
-            Algorithm::Boosted(b) => CounterState::Boosted(Box::new(b.random_state(node, rng))),
+            Algorithm::Trivial(t) => CounterState((rng.next_u64() % t.modulus()).into()),
+            Algorithm::Lut(l) => CounterState(l.clamp(rng.next_u64() as u8).into()),
+            Algorithm::Boosted(b) => b.random_state(rng),
         }
     }
 }
@@ -236,7 +283,7 @@ impl Counter for Algorithm {
         match self {
             Algorithm::Trivial(t) => t.state_bits(),
             Algorithm::Lut(l) => l.state_bits(),
-            Algorithm::Boosted(b) => b.inner().state_bits() + b.params().state_overhead_bits(),
+            Algorithm::Boosted(b) => b.state_bits,
         }
     }
 
@@ -248,55 +295,18 @@ impl Counter for Algorithm {
         }
     }
 
-    fn encode_state(&self, node: NodeId, state: &CounterState, out: &mut BitVec) {
-        match self {
-            Algorithm::Trivial(t) => out.push_bits(state.as_trivial(), t.state_bits()),
-            Algorithm::Lut(l) => out.push_bits(u64::from(state.as_lut()), l.state_bits()),
-            Algorithm::Boosted(b) => {
-                let s = state.as_boosted();
-                let (_, local) = b.params().block_of(node);
-                b.inner().encode_state(NodeId::new(local), &s.inner, out);
-                s.regs.encode(b.params().c_out(), out);
-            }
-        }
+    fn encode_state(&self, _node: NodeId, state: &CounterState, out: &mut BitVec) {
+        out.push_wide(state.0, self.state_bits());
     }
 
     fn decode_state(
         &self,
-        node: NodeId,
+        _node: NodeId,
         input: &mut BitReader<'_>,
     ) -> Result<CounterState, CodecError> {
-        match self {
-            Algorithm::Trivial(t) => {
-                let raw = input.read_bits(t.state_bits())?;
-                if raw >= t.modulus() {
-                    return Err(CodecError::InvalidField {
-                        field: "trivial counter",
-                        value: raw,
-                    });
-                }
-                Ok(CounterState::Trivial(raw))
-            }
-            Algorithm::Lut(l) => {
-                let raw = input.read_bits(l.state_bits())?;
-                if raw >= u64::from(l.states()) {
-                    return Err(CodecError::InvalidField {
-                        field: "LUT state",
-                        value: raw,
-                    });
-                }
-                Ok(CounterState::Lut(raw as u8))
-            }
-            Algorithm::Boosted(b) => {
-                let (_, local) = b.params().block_of(node);
-                let inner = b.inner().decode_state(NodeId::new(local), input)?;
-                let regs = sc_consensus::PkRegisters::decode(b.params().c_out(), input)?;
-                Ok(CounterState::Boosted(Box::new(BoostedState {
-                    inner,
-                    regs,
-                })))
-            }
-        }
+        let state = CounterState(input.read_wide(self.state_bits())?);
+        self.validate(state)?;
+        Ok(state)
     }
 }
 
@@ -316,16 +326,17 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use sc_consensus::PkRegisters;
 
     #[test]
     fn trivial_counts_through_the_trait() {
         let a = Algorithm::trivial(5).unwrap();
         let mut rng = SmallRng::seed_from_u64(0);
-        let states = vec![CounterState::Trivial(4)];
+        let states = vec![CounterState::new(4)];
         let view = MessageView::new(&states, &[]);
         let mut ctx = StepContext::new(&mut rng);
         let next = a.step(NodeId::new(0), &view, &mut ctx);
-        assert_eq!(next, CounterState::Trivial(0));
+        assert_eq!(next, CounterState::new(0));
         assert_eq!(a.output(NodeId::new(0), &next), 0);
     }
 
@@ -342,7 +353,7 @@ mod tests {
     fn codec_round_trip_trivial() {
         let a = Algorithm::trivial(100).unwrap();
         for v in [0u64, 1, 63, 99] {
-            let s = CounterState::Trivial(v);
+            let s = CounterState::new(v.into());
             let mut bits = BitVec::new();
             a.encode_state(NodeId::new(0), &s, &mut bits);
             assert_eq!(bits.len() as u32, a.state_bits());
@@ -378,9 +389,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expected trivial state")]
-    fn mismatched_state_kind_panics() {
-        let s = CounterState::Lut(0);
-        let _ = s.as_trivial();
+    fn a_state_is_the_word_the_codec_writes() {
+        let a4 = Algorithm::boosted(Algorithm::trivial(2304).unwrap(), 4, 1, 8, 0).unwrap();
+        let b = a4.boosting_layer().unwrap();
+        // 12 bits of inner counter, a = 5 in 4 bits, d = 1.
+        let s = b.with(CounterState::new(2303), PkRegisters::new(5, true));
+        assert_eq!(s.word(), 2303 << 5 | 5 << 1 | 1);
+        assert_eq!(b.inner().trivial_of(b.inner_of(s)), 2303);
+        assert_eq!(b.regs_of(s), PkRegisters::new(5, true));
+        // ∞ is stored as C.
+        let reset = b.with(CounterState::new(0), PkRegisters::reset());
+        assert_eq!(reset.word(), 8 << 1);
+        assert_eq!(b.regs_of(reset), PkRegisters::reset());
+        assert_eq!(Algorithm::lut_of(&lut2(), CounterState::new(1)), 1);
+    }
+
+    fn lut2() -> Algorithm {
+        Algorithm::lut(LutSpec {
+            n: 1,
+            f: 0,
+            c: 2,
+            states: 2,
+            transition: vec![vec![1, 0]],
+            output: vec![vec![0, 1]],
+            stabilization_bound: 0,
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn states_wider_than_the_word_are_refused() {
+        // Two levels whose registers alone take 65 bits each: 12 + 65 fits,
+        // 12 + 65 + 65 = 142 bits does not.
+        let wide = 960u64 << 54; // a multiple of the next level's c_req = 960
+        let a4 = Algorithm::boosted(Algorithm::trivial(2304).unwrap(), 4, 1, wide, 0).unwrap();
+        assert_eq!(a4.state_bits(), 12 + 65);
+        let err = Algorithm::boosted(a4.clone(), 3, 3, wide, 0).unwrap_err();
+        assert!(matches!(err, ParamError::Overflow { .. }), "{err}");
+        // At an ordinary modulus the same stack builds.
+        assert_eq!(Algorithm::boosted(a4, 3, 3, 2, 0).unwrap().state_bits(), 80);
     }
 }

@@ -3,10 +3,13 @@
 use rand::{Rng, RngCore};
 use sc_consensus::instructions::{execute_slot, IncrementMode};
 use sc_consensus::{PkRegisters, INFINITY};
-use sc_protocol::{majority_or, MessageView, NodeId, ParamError, StepContext, Tally};
+use sc_protocol::{
+    majority_or, Counter as _, MessageView, NodeId, ParamError, Rescan, StepContext,
+    SyncProtocol as _,
+};
 
-use crate::algorithm::{Algorithm, CounterState};
-use crate::params::BoostParams;
+use crate::algorithm::{Algorithm, CounterState, Window};
+use crate::params::{BoostParams, Pointer};
 
 /// One application of Theorem 1: a `C`-counter on `N = k·n` nodes tolerating
 /// `F < (f+1)·⌈k/2⌉` faults, built from `k` block-local copies of an
@@ -32,6 +35,11 @@ use crate::params::BoostParams;
 pub struct BoostedCounter {
     inner: Algorithm,
     params: BoostParams,
+    /// Width of the `(a, d)` field, `⌈log₂(C+1)⌉ + 1`: how far below a
+    /// node's word its inner counter's word starts.
+    pub(crate) regs_bits: u32,
+    /// `S(B) = S(A) + ⌈log(C+1)⌉ + 1`, the width of the whole word.
+    pub(crate) state_bits: u32,
 }
 
 /// One node's view of the three-stage majority vote of §3.3.
@@ -47,17 +55,6 @@ pub struct VoteObservation {
     pub slot: u64,
 }
 
-/// Per-node state of a [`BoostedCounter`]: the inner counter state plus the
-/// phase-king registers — exactly the `S(A) + ⌈log(C+1)⌉ + 1` bits of
-/// Theorem 1.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct BoostedState {
-    /// State of the block-local inner counter.
-    pub inner: CounterState,
-    /// Phase-king registers `(a, d)`.
-    pub regs: PkRegisters,
-}
-
 impl BoostedCounter {
     /// Wraps `inner` with the boosting layer described by `params`.
     ///
@@ -66,9 +63,9 @@ impl BoostedCounter {
     /// Returns [`ParamError`] when `inner` does not match `params`: its size
     /// must equal `params.n_inner()`, its resilience must be at least
     /// `params.f_inner()`, and its modulus must be a multiple of
-    /// `params.c_req()`.
+    /// `params.c_req()`; or when the boosted state would not fit the 128
+    /// bits of a [`CounterState`].
     pub fn new(inner: Algorithm, params: BoostParams) -> Result<Self, ParamError> {
-        use sc_protocol::{Counter as _, SyncProtocol as _};
         if inner.n() != params.n_inner() {
             return Err(ParamError::constraint(format!(
                 "inner counter has {} nodes, blocks have {}",
@@ -90,7 +87,21 @@ impl BoostedCounter {
                 params.c_req()
             )));
         }
-        Ok(BoostedCounter { inner, params })
+        let regs_bits = params.state_overhead_bits();
+        let state_bits = inner.state_bits() + regs_bits;
+        if state_bits > u128::BITS {
+            return Err(ParamError::overflow(format!(
+                "S = {} + {regs_bits} state bits in a {}-bit state word",
+                inner.state_bits(),
+                u128::BITS
+            )));
+        }
+        Ok(BoostedCounter {
+            inner,
+            params,
+            regs_bits,
+            state_bits,
+        })
     }
 
     /// The inner counter run by every block.
@@ -103,12 +114,59 @@ impl BoostedCounter {
         &self.params
     }
 
-    /// The raw inner counter value a node in `block` announces with `state`,
-    /// i.e. `h(j, state)` before any block-modulus reduction. Also the
-    /// shared definition the prepared fast path votes with.
-    pub(crate) fn inner_value(&self, local: usize, state: &CounterState) -> u64 {
-        use sc_protocol::SyncProtocol as _;
-        self.inner.output(NodeId::new(local), state)
+    /// The block-local inner counter's state inside `state`.
+    #[inline]
+    pub fn inner_of(&self, state: CounterState) -> CounterState {
+        CounterState::new(state.word() >> self.regs_bits)
+    }
+
+    /// The phase-king registers `(a, d)` inside `state`.
+    #[inline]
+    pub fn regs_of(&self, state: CounterState) -> PkRegisters {
+        let raw = ((state.word() >> 1) & ((1 << (self.regs_bits - 1)) - 1)) as u64;
+        let a = if raw == self.params.c_out() {
+            INFINITY
+        } else {
+            raw
+        };
+        PkRegisters::new(a, state.word() & 1 == 1)
+    }
+
+    /// The state made of the inner counter's state `inner` and the registers
+    /// `regs`: the `S(A) + ⌈log(C+1)⌉ + 1` bits of Theorem 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regs.a` is outside `[C] ∪ {∞}` (it would spill into the
+    /// inner counter's bits).
+    #[inline]
+    pub fn with(&self, inner: CounterState, regs: PkRegisters) -> CounterState {
+        let c = self.params.c_out();
+        let raw = if regs.a == INFINITY { c } else { regs.a };
+        assert!(raw <= c, "register a = {raw} outside [C] ∪ {{∞}}");
+        debug_assert!(inner.word() >> (self.state_bits - self.regs_bits) == 0);
+        CounterState::new(
+            (inner.word() << self.regs_bits) | (u128::from(raw) << 1) | u128::from(regs.d),
+        )
+    }
+
+    /// The raw inner counter value node `local` of a block announces with
+    /// this level's `state`: `h(j, state)` before any block-modulus
+    /// reduction. The plain and the prepared step both vote with it.
+    pub(crate) fn inner_value(&self, local: usize, state: CounterState) -> u64 {
+        self.inner.output(NodeId::new(local), &self.inner_of(state))
+    }
+
+    /// The majority of what block `i`'s members vote — `vote` picks `b`
+    /// (leader support `bᵢ`) or `r` (slot) off each member's pointer — or
+    /// 0 without a majority.
+    fn block_vote(&self, received: Window<'_, '_>, i: usize, vote: impl Fn(Pointer) -> u64) -> u64 {
+        let p = &self.params;
+        let votes = (0..p.n_inner()).map(|j| {
+            let state = received.get(p.member(i, j).index());
+            vote(p.pointer(i, self.inner_value(j, state)))
+        });
+        majority_or(votes, 0)
     }
 
     /// The three-stage majority vote of §3.3 as computed from a received
@@ -120,104 +178,67 @@ impl BoostedCounter {
     /// incrementing `R` for ≥ τ rounds) is verified live against these
     /// observations in the integration tests and the E2 harness.
     pub fn observe(&self, view: &MessageView<'_, CounterState>) -> VoteObservation {
-        let p = &self.params;
-        let k = p.k();
-        let n = p.n_inner();
-
-        // bᵢ = majority{ b[i, j] : j ∈ [n] } for every block i.
-        let mut block_support = Vec::with_capacity(k);
-        for i in 0..k {
-            let votes = (0..n).map(|j| {
-                let state = view.get(p.member(i, j));
-                let value = self.inner_value(j, state.as_boosted_inner());
-                p.pointer(i, value).b as u64
-            });
-            block_support.push(majority_or(votes, 0));
-        }
-
-        // B = majority{ bᵢ : i ∈ [k] }.
+        let received = Window::top(view);
+        let block_support: Vec<u64> = (0..self.params.k())
+            .map(|i| self.block_vote(received, i, |ptr| ptr.b as u64))
+            .collect();
+        // B = majority{ bᵢ : i ∈ [k] }, R = majority{ r[B, j] : j ∈ [n] }.
         let leader = majority_or(block_support.iter().copied(), 0) as usize;
-
-        // R = majority{ r[B, j] : j ∈ [n] }.
-        let slots = (0..n).map(|j| {
-            let state = view.get(p.member(leader, j));
-            let value = self.inner_value(j, state.as_boosted_inner());
-            p.pointer(leader, value).r
-        });
-        let slot = majority_or(slots, 0);
         VoteObservation {
+            slot: self.block_vote(received, leader, |ptr| ptr.r),
             block_support,
             leader,
-            slot,
         }
     }
 
-    /// The slot counter `R` this node derives from `view` (§3.3).
-    pub(crate) fn vote_slot(&self, view: &MessageView<'_, CounterState>) -> u64 {
-        self.observe(view).slot
-    }
-
-    /// The transition of node `v` (§3.5). Called through
+    /// The transition of this level's node `node` (§3.5). Called through
     /// [`Algorithm::step`](sc_protocol::SyncProtocol::step).
     pub(crate) fn step(
         &self,
-        node: NodeId,
-        view: &MessageView<'_, CounterState>,
+        node: usize,
+        received: Window<'_, '_>,
         ctx: &mut StepContext<'_>,
-    ) -> BoostedState {
-        use sc_protocol::SyncProtocol as _;
+    ) -> CounterState {
         let p = &self.params;
-        let (block, local) = p.block_of(node);
+        let (block, local) = p.block_of(NodeId::new(node));
 
-        // 1. Advance this block's copy of the inner counter. The block view
-        // is a zero-copy projection of the outer view: it borrows the inner
-        // states in place instead of deep-cloning `n` nested states per
-        // receiver per round (the recursion multiplies those clones).
-        let block_refs: Vec<&CounterState> = (0..p.n_inner())
-            .map(|j| view.get(p.member(block, j)).as_boosted_inner())
-            .collect();
-        let block_view = MessageView::from_refs(&block_refs, &[]);
-        let next_inner = self.inner.step(NodeId::new(local), &block_view, ctx);
+        // 1. Advance this block's copy of the inner counter on the block's
+        // own window of the view: same words, read further down.
+        let block_states = received.block(p.member(block, 0).index(), self.regs_bits);
+        let next_inner = self.inner.step_in(local, block_states, ctx);
 
-        // 2. Majority-vote the current slot R.
-        let slot = self.vote_slot(view);
+        // 2. Majority-vote the current slot R: `observe` without the record.
+        let support = (0..p.k()).map(|i| self.block_vote(received, i, |ptr| ptr.b as u64));
+        let slot = self.block_vote(received, majority_or(support, 0) as usize, |ptr| ptr.r);
 
-        // 3. Execute instruction set I_R in counting mode.
-        let tally: Tally = view.iter().map(|s| s.as_boosted().regs.a).collect();
+        // 3. Execute instruction set I_R in counting mode on the received
+        // a-registers as they stand: the tally z of Table 2, never tabled.
+        let votes = Rescan((0..p.n_total()).map(|u| self.regs_of(received.get(u)).a));
         let king = p.pk().king_of_group(slot / 3);
-        let king_value = view.get(king).as_boosted().regs.a;
-        let me = view.get(node).as_boosted();
+        let king_value = self.regs_of(received.get(king.index())).a;
         let regs = execute_slot(
             p.pk(),
-            me.regs,
+            self.regs_of(received.get(node)),
             slot,
-            &tally,
+            &votes,
             king_value,
             IncrementMode::Counting,
         );
-
-        BoostedState {
-            inner: next_inner,
-            regs,
-        }
+        self.with(next_inner, regs)
     }
 
     /// Samples an arbitrary representable state (for self-stabilisation
-    /// testing and adversarial message fabrication).
-    pub(crate) fn random_state(&self, node: NodeId, rng: &mut dyn RngCore) -> BoostedState {
-        use sc_protocol::SyncProtocol as _;
-        let (_, local) = self.params.block_of(node);
-        let inner = self.inner.random_state(NodeId::new(local), rng);
+    /// testing and adversarial message fabrication). No counter of the
+    /// family has node-specific states, so none is named.
+    pub(crate) fn random_state(&self, rng: &mut dyn RngCore) -> CounterState {
+        let inner = self.inner.random_state(NodeId::new(0), rng);
         let c = self.params.c_out();
         let a = if rng.random_bool(0.125) {
             INFINITY
         } else {
             rng.random_range(0..c)
         };
-        BoostedState {
-            inner,
-            regs: PkRegisters::new(a, rng.random_bool(0.5)),
-        }
+        self.with(inner, PkRegisters::new(a, rng.random_bool(0.5)))
     }
 }
 
@@ -225,7 +246,6 @@ impl BoostedCounter {
 mod tests {
     use super::*;
     use crate::CounterBuilder;
-    use sc_protocol::{Counter as _, SyncProtocol as _};
 
     #[test]
     fn construction_validates_the_inner_counter() {

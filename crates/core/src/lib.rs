@@ -30,6 +30,7 @@
 //! inspect its guarantees:
 //!
 //! ```
+//! use sc_consensus::PkRegisters;
 //! use sc_core::CounterBuilder;
 //! use sc_protocol::{Counter, SyncProtocol};
 //!
@@ -42,6 +43,12 @@
 //! assert_eq!(a36.modulus(), 2);
 //! // Linear-in-f stabilisation bound and logarithmic state (Theorems 2-3).
 //! println!("T = {}, S = {} bits", a36.stabilization_bound(), a36.state_bits());
+//! // A state is those S bits as one packed word ([`CounterState`]); the
+//! // counter that knows the layout packs it and reads it.
+//! let top = a36.boosting_layer().expect("a boosting layer");
+//! let state = top.with(top.inner_of(Default::default()), PkRegisters::new(1, true));
+//! assert_eq!((state.word(), a36.output(0.into(), &state)), (0b11, 1));
+//! assert_eq!(top.regs_of(state), PkRegisters::new(1, true));
 //! # Ok::<(), sc_protocol::ParamError>(())
 //! ```
 
@@ -60,7 +67,7 @@ mod recursion;
 mod trivial;
 
 pub use algorithm::{Algorithm, CounterState};
-pub use boosted::{BoostedCounter, BoostedState, VoteObservation};
+pub use boosted::{BoostedCounter, VoteObservation};
 pub use dag::{Builder, NodeRef};
 pub use lower::SlicedAlgorithm;
 pub use lut::{LutCounter, LutSpec};

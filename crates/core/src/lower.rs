@@ -37,7 +37,7 @@ use sc_protocol::{
 };
 use sc_sim::{RoundProgramSource, SlicedProtocol};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, CounterState};
 use crate::boosted::BoostedCounter;
 use crate::dag::{Builder, NodeRef};
 use crate::params::BoostParams;
@@ -119,23 +119,6 @@ fn field_value(bits: &BitVec, off: u32, w: u32) -> u64 {
     (0..w).fold(0, |acc, i| {
         (acc << 1) | u64::from(bits.bit((off + i) as usize))
     })
-}
-
-/// The scalar output value encoded into the out field of a bundle.
-fn scalar_output(algo: &Algorithm, node: usize, bits: &BitVec) -> u64 {
-    match algo {
-        Algorithm::Trivial(t) => field_value(bits, 0, t.state_bits()) % t.modulus(),
-        Algorithm::Lut(l) => l.output(node, field_value(bits, 0, l.state_bits()) as u8),
-        Algorithm::Boosted(b) => {
-            let c = b.params().c_out();
-            let a = field_value(bits, b.inner().state_bits(), bits_for(c + 1));
-            if a >= c {
-                0
-            } else {
-                a
-            }
-        }
-    }
 }
 
 /// One received bundle as seen by one receiver: either live planes of an
@@ -530,7 +513,7 @@ impl Ctx {
                 let recv: Vec<NodeRef> = (0..n).map(|u| self.field(&refs[u], 0, sb)).collect();
                 let rows = states.pow(n as u32);
                 let mut acc = {
-                    let v = l.next(local, &vec![0u8; n]);
+                    let v = l.next(local, vec![0u8; n]);
                     self.b.constant(u64::from(v), sb)
                 };
                 for row in 1..rows {
@@ -683,7 +666,9 @@ impl RoundProgramSource for SlicedAlgorithm {
             bundle.push_bits(v / e.tau, u32::from(e.qw));
             bundle.push_bits(v % e.tau, u32::from(e.rw));
         }
-        let out = scalar_output(&self.algo, node as usize, bundle);
+        let state = bundle.reader().read_wide(self.layout.state_bits);
+        let state = CounterState::new(state.expect("the bundle starts with a whole state"));
+        let out = self.algo.output(NodeId::new(node as usize), &state);
         bundle.push_bits(out, self.layout.out_bits);
     }
 
@@ -910,7 +895,7 @@ mod tests {
         // k = 5 gives m = 3: leader pointers are no longer single bits.
         let inner = Algorithm::trivial(9 * 6u64.pow(5) * 4).unwrap();
         let wide = Algorithm::boosted(inner, 5, 1, 8, 0).unwrap();
-        assert_eq!(wide.as_boosted_counter().unwrap().params().m(), 3);
+        assert_eq!(wide.boosting_layer().unwrap().params().m(), 3);
         assert!(wide.sliced_model(&[]).is_none());
         // Supported stacks lower regardless of the fault set.
         assert!(a4().sliced_model(&[NodeId::new(1)]).is_some());

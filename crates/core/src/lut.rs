@@ -9,6 +9,8 @@
 //! `sc-verifier` crate model-checks these tables exhaustively and searches
 //! for new ones.
 
+use std::borrow::Borrow;
+
 use sc_protocol::{bits_for, ParamError};
 
 /// Raw description of a table-driven counter.
@@ -52,7 +54,7 @@ pub struct LutSpec {
 ///     stabilization_bound: 0,
 /// };
 /// let lut = LutCounter::new(spec)?;
-/// assert_eq!(lut.next(0, &[1]), 0);
+/// assert_eq!(lut.next(0, [1]), 0);
 /// # Ok::<(), sc_protocol::ParamError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,23 +141,24 @@ impl LutCounter {
         self.spec.states
     }
 
-    /// The transition `g(node, received)`.
+    /// The transition `g(node, received)`, on a received vector that is
+    /// stored (`&[u8]`) or computed on the fly (an iterator of `u8`).
     ///
     /// # Panics
     ///
-    /// Panics if `received.len() != n` or a state is out of range (only
-    /// reachable through fabricated states, which [`LutCounter::clamp`]
-    /// prevents).
-    pub fn next(&self, node: usize, received: &[u8]) -> u8 {
-        assert_eq!(received.len(), self.spec.n);
-        let index: usize = received
-            .iter()
-            .enumerate()
-            .map(|(u, &s)| {
-                assert!(s < self.spec.states, "state {s} out of range");
-                self.pow[u] * s as usize
-            })
-            .sum();
+    /// Panics unless `received` has exactly `n` states, or if a state is
+    /// out of range (only reachable through fabricated states, which
+    /// [`LutCounter::clamp`] prevents).
+    pub fn next<S: Borrow<u8>>(&self, node: usize, received: impl IntoIterator<Item = S>) -> u8 {
+        let (mut senders, mut index) = (0, 0);
+        for s in received {
+            let s = *s.borrow();
+            assert!(s < self.spec.states, "state {s} out of range");
+            assert!(senders < self.spec.n, "more than n received states");
+            index += self.pow[senders] * s as usize;
+            senders += 1;
+        }
+        assert_eq!(senders, self.spec.n);
         self.spec.transition[node][index]
     }
 
@@ -216,9 +219,9 @@ mod tests {
     fn radix_indexing_is_little_endian() {
         let lut = LutCounter::new(two_node_spec()).unwrap();
         // received = [x0, x1] → index x0 + 2·x1.
-        assert_eq!(lut.next(0, &[1, 0]), 1);
-        assert_eq!(lut.next(0, &[0, 1]), 1);
-        assert_eq!(lut.next(0, &[1, 1]), 0);
+        assert_eq!(lut.next(0, [1, 0]), 1);
+        assert_eq!(lut.next(0, [0, 1]), 1);
+        assert_eq!(lut.next(0, [1, 1]), 0);
     }
 
     #[test]
@@ -250,9 +253,9 @@ mod tests {
     #[test]
     fn set_transition_patches_and_returns_previous() {
         let mut lut = LutCounter::new(two_node_spec()).unwrap();
-        assert_eq!(lut.next(0, &[1, 0]), 1);
+        assert_eq!(lut.next(0, [1, 0]), 1);
         assert_eq!(lut.set_transition(0, 1, 0), 1);
-        assert_eq!(lut.next(0, &[1, 0]), 0);
+        assert_eq!(lut.next(0, [1, 0]), 0);
         // Undo restores the original table.
         assert_eq!(lut.set_transition(0, 1, 1), 0);
         assert_eq!(lut, LutCounter::new(two_node_spec()).unwrap());

@@ -42,6 +42,9 @@ pub struct BoostParams {
     king_slack: u64,
     tau: u64,
     c_req: u64,
+    /// `τ·(2m)^i` for every block `i`: how long block `i` dwells on one
+    /// leader pointer — [`BoostParams::pointer`]'s divisors, tabulated.
+    dwell: Vec<u64>,
     pk: PhaseKingParams,
 }
 
@@ -93,6 +96,8 @@ impl BoostParams {
         let c_req = tau
             .checked_mul(checked_pow_u64(two_m, k as u32, "(2m)^k")?)
             .ok_or_else(|| ParamError::overflow("c_req = τ·(2m)^k"))?;
+        // τ·(2m)^i divides τ·(2m)^k = c_req, so none of these overflows.
+        let dwell = (0..k as u32).map(|i| tau * two_m.pow(i)).collect();
         Ok(BoostParams {
             n_inner,
             f_inner,
@@ -104,6 +109,7 @@ impl BoostParams {
             king_slack,
             tau,
             c_req,
+            dwell,
             pk,
         })
     }
@@ -181,13 +187,7 @@ impl BoostParams {
     ///
     /// Panics if `block ≥ k`.
     pub fn block_modulus(&self, block: usize) -> u64 {
-        assert!(
-            block < self.k,
-            "block {block} out of range (k = {})",
-            self.k
-        );
-        // (2m)^{block+1} divides (2m)^k = c_req/τ, so this cannot overflow.
-        self.tau * (2 * self.m as u64).pow(block as u32 + 1)
+        2 * self.m as u64 * self.dwell[block]
     }
 
     /// Decomposes a raw inner counter value of a node in `block` into the
@@ -198,10 +198,11 @@ impl BoostParams {
     ///
     /// Panics if `block ≥ k`.
     pub fn pointer(&self, block: usize, counter_value: u64) -> Pointer {
-        let v = counter_value % self.block_modulus(block);
-        let r = v % self.tau;
-        let y = v / self.tau;
-        let b = ((y / (2 * self.m as u64).pow(block as u32)) % self.m as u64) as usize;
+        // τ | c_i and c_i = 2m · τ(2m)^i with m | 2m, so r and b need no
+        // reduction modulo c_i first: one division for r, two for b.
+        let r = counter_value % self.tau;
+        let y = counter_value % self.block_modulus(block) / self.tau;
+        let b = (counter_value / self.dwell[block] % self.m as u64) as usize;
         Pointer { r, y, b }
     }
 
@@ -279,13 +280,16 @@ mod tests {
     #[test]
     fn pointer_decomposition_is_consistent() {
         let p = BoostParams::new(4, 1, 3, 3, 960, 0).unwrap();
-        for val in [0u64, 1, 14, 15, 959, 960, 12345] {
+        for val in [0u64, 1, 14, 15, 959, 960, 12345, u64::MAX - 7] {
             for block in 0..p.k() {
                 let ptr = p.pointer(block, val);
                 assert!(ptr.r < p.tau());
                 assert!(ptr.b < p.m());
                 let v = val % p.block_modulus(block);
                 assert_eq!(ptr.r + p.tau() * ptr.y, v);
+                // b is the paper's ⌊y/(2m)^i⌋ mod m, read off y.
+                let radix = (2 * p.m() as u64).pow(block as u32);
+                assert_eq!(ptr.b as u64, ptr.y / radix % p.m() as u64);
             }
         }
     }

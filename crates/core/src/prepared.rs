@@ -7,22 +7,26 @@
 //! counter `R`, and the phase-king tally of `a`-registers. All receivers
 //! see identical honest entries — only the ≤ `F` Byzantine senders differ
 //! per receiver — so the honest part of every one of those tallies is
-//! computed **once per round** here, and each receiver merely patches the
-//! faulty senders' votes in (and back out) via [`DeltaTally`]: `O(F)` vote
+//! computed **once per round** here, and each receiver merely looks at it
+//! through the faulty senders' votes ([`DeltaTally::patched`]): `O(F)` vote
 //! work per receiver instead of `O(N)`, recursively at every level of the
 //! construction.
+//!
+//! A preparation lives as long as its execution: each round only empties
+//! and refills the tallies ([`PreparedProtocol::refill_round`]), so a round
+//! allocates nothing.
 //!
 //! The contract (bitwise equality with [`SyncProtocol::step`]) is enforced
 //! by the `engine_equivalence` integration tests.
 
 use sc_consensus::instructions::{execute_slot, IncrementMode};
 use sc_protocol::{
-    Broadcast, DeltaTally, MessageView, NodeId, PreparedProtocol, StepContext, SyncProtocol,
+    majority_or, Broadcast, DeltaTally, MessageView, NodeId, PreparedProtocol, StepContext,
     VoteCounts as _,
 };
 
-use crate::algorithm::{Algorithm, CounterState};
-use crate::boosted::{BoostedCounter, BoostedState};
+use crate::algorithm::{Algorithm, CounterState, Window};
+use crate::boosted::BoostedCounter;
 
 /// Shared per-round state of an [`Algorithm`]; variants mirror the
 /// algorithm variants.
@@ -47,186 +51,175 @@ pub struct BoostedPrep {
     r_votes: Vec<DeltaTally>,
     /// `a`-register votes of all honest nodes.
     a_votes: DeltaTally,
-    /// Faulty members of each block, flat (outer) ids, sorted.
-    faulty_by_block: Vec<Vec<NodeId>>,
+    /// This level's faulty nodes, sorted — hence grouped by block.
+    faulty: Vec<usize>,
+    /// Block `i`'s faulty members are `faulty[block_at[i]..block_at[i + 1]]`.
+    block_at: Vec<usize>,
     /// Per block: the inner algorithm's round preparation.
     inner: Vec<RoundPrep>,
-    /// Scratch for one receiver's patch values (computed once, used for
-    /// both the add and the undo pass).
+    /// Scratch: the states one receiver got from the nodes of `faulty`.
+    seen: Vec<CounterState>,
+    /// Scratch: the votes among `seen` that one majority is patched with.
     patch: Vec<u64>,
     /// Scratch for one receiver's per-block leader-support votes `bᵢ`.
     support: Vec<u64>,
 }
 
-/// Strict majority with a default, over a handful of stack values — the
-/// `B = majority{bᵢ}` vote, allocation-free. Matches
-/// [`sc_protocol::majority_or`] exactly (the strict-majority winner is
-/// unique when it exists).
-fn small_majority_or(values: &[u64], default: u64) -> u64 {
-    let total = values.len();
-    for &candidate in values {
-        let count = values.iter().filter(|&&v| v == candidate).count();
-        if 2 * count > total {
-            return candidate;
-        }
-    }
-    default
-}
-
 impl BoostedCounter {
-    fn prepare(&self, base: Broadcast<'_, CounterState>, faulty: &[NodeId]) -> BoostedPrep {
+    /// The preparation of an execution whose faulty nodes at this level are
+    /// `faulty` (sorted), with every tally sized for its fullest round and
+    /// still empty.
+    fn layout(&self, faulty: &[usize]) -> BoostedPrep {
         let p = self.params();
         let (k, n) = (p.k(), p.n_inner());
-
-        let mut faulty_by_block: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for &id in faulty {
-            faulty_by_block[p.block_of(id).0].push(id);
-        }
-
-        let mut b_votes = Vec::with_capacity(k);
-        let mut r_votes = Vec::with_capacity(k);
-        let mut inner_preps = Vec::with_capacity(k);
-        let mut a_votes = DeltaTally::new();
-        for i in 0..k {
-            let mut b_tally = DeltaTally::new();
-            let mut r_tally = DeltaTally::new();
-            let mut block_refs: Vec<&CounterState> = Vec::with_capacity(n);
-            let mut local_faulty: Vec<NodeId> = Vec::with_capacity(faulty_by_block[i].len());
-            for j in 0..n {
-                let member = p.member(i, j);
-                let state = base.get(member.index());
-                block_refs.push(state.as_boosted_inner());
-                if faulty_by_block[i].binary_search(&member).is_ok() {
-                    local_faulty.push(NodeId::new(j));
-                    continue;
-                }
-                let pointer = p.pointer(i, self.inner_value(j, state.as_boosted_inner()));
-                b_tally.add(pointer.b as u64);
-                r_tally.add(pointer.r);
-                a_votes.add(state.as_boosted().regs.a);
-            }
-            b_votes.push(b_tally);
-            r_votes.push(r_tally);
-            inner_preps.push(
-                self.inner()
-                    .prepare_round(Broadcast::Refs(&block_refs), &local_faulty),
-            );
-        }
+        let block_at: Vec<usize> = (0..=k)
+            .map(|i| faulty.partition_point(|&v| v < i * n))
+            .collect();
+        // (`vec![tally; k]` would clone away the capacity.)
+        let block_tallies = || (0..k).map(|_| DeltaTally::with_capacity(n)).collect();
         BoostedPrep {
-            b_votes,
-            r_votes,
-            a_votes,
-            faulty_by_block,
-            inner: inner_preps,
+            b_votes: block_tallies(),
+            r_votes: block_tallies(),
+            a_votes: DeltaTally::with_capacity(p.n_total()),
+            inner: (0..k)
+                .map(|i| {
+                    let members = &faulty[block_at[i]..block_at[i + 1]];
+                    let local: Vec<usize> = members.iter().map(|v| v % n).collect();
+                    self.inner().layout(&local)
+                })
+                .collect(),
+            faulty: faulty.to_vec(),
+            block_at,
+            seen: Vec::with_capacity(faulty.len()),
             patch: Vec::with_capacity(faulty.len()),
             support: Vec::with_capacity(k),
         }
     }
 
+    /// Recounts the honest votes of the round whose broadcast is `base`.
+    fn refill(&self, prep: &mut BoostedPrep, base: Window<'_, '_>) {
+        let p = self.params();
+        let n = p.n_inner();
+        prep.a_votes.clear();
+        let mut faulty = prep.faulty.iter().peekable();
+        for i in 0..p.k() {
+            let (b_tally, r_tally) = (&mut prep.b_votes[i], &mut prep.r_votes[i]);
+            b_tally.clear();
+            r_tally.clear();
+            for v in i * n..(i + 1) * n {
+                if faulty.next_if_eq(&&v).is_some() {
+                    continue;
+                }
+                let state = base.get(v);
+                let pointer = p.pointer(i, self.inner_value(v - i * n, state));
+                b_tally.add(pointer.b as u64);
+                r_tally.add(pointer.r);
+                prep.a_votes.add(self.regs_of(state).a);
+            }
+            self.inner()
+                .refill(&mut prep.inner[i], base.block(i * n, self.regs_bits));
+        }
+    }
+
     /// The transition of §3.5 with the shared votes patched per receiver.
-    /// Must agree bitwise with [`BoostedCounter::step`]; `prep` is restored
-    /// before returning.
+    /// Must agree bitwise with [`BoostedCounter::step`]; of `prep` only the
+    /// scratch is written, and left empty.
     fn step_with(
         &self,
-        node: NodeId,
-        view: &MessageView<'_, CounterState>,
+        node: usize,
+        received: Window<'_, '_>,
         prep: &mut BoostedPrep,
         ctx: &mut StepContext<'_>,
-    ) -> BoostedState {
+    ) -> CounterState {
         let p = self.params();
-        let (block, local) = p.block_of(node);
-        let k = p.k();
+        let n = p.n_inner();
+        let (block, local) = p.block_of(NodeId::new(node));
 
         // 1. Advance this block's copy of the inner counter (recursively
-        // prepared). The projection borrows states in place, like `step`.
-        let block_refs: Vec<&CounterState> = (0..p.n_inner())
-            .map(|j| view.get(p.member(block, j)).as_boosted_inner())
-            .collect();
-        let block_view = MessageView::from_refs(&block_refs, &[]);
-        let next_inner = self.inner().step_prepared(
-            NodeId::new(local),
-            &block_view,
-            &mut prep.inner[block],
-            ctx,
-        );
+        // prepared) on the block's window of the view, like `step`.
+        let block_states = received.block(block * n, self.regs_bits);
+        let next_inner =
+            self.inner()
+                .step_prepared_in(local, block_states, &mut prep.inner[block], ctx);
 
-        // 2. The three-stage majority vote, patching only faulty senders.
-        // Each patch's values are computed once into the scratch buffer and
-        // reused for the undo pass. bᵢ per block, then B over them.
-        let mut support = std::mem::take(&mut prep.support);
-        support.clear();
-        for i in 0..k {
-            let mut patch = std::mem::take(&mut prep.patch);
-            patch.clear();
-            for &member in &prep.faulty_by_block[i] {
-                let (_, j) = p.block_of(member);
-                let state = view.get(member).as_boosted_inner();
-                patch.push(p.pointer(i, self.inner_value(j, state)).b as u64);
+        // 2. The three-stage majority vote, patching only what the faulty
+        // senders told this receiver: bᵢ per block, then B over them.
+        prep.seen.clear();
+        prep.seen
+            .extend(prep.faulty.iter().map(|&v| received.get(v)));
+        let inner_value =
+            |at: usize, i: usize| self.inner_value(prep.faulty[at] - i * n, prep.seen[at]);
+        for (i, tally) in prep.b_votes.iter().enumerate() {
+            prep.patch.clear();
+            for at in prep.block_at[i]..prep.block_at[i + 1] {
+                prep.patch.push(p.pointer(i, inner_value(at, i)).b as u64);
             }
-            let tally = &mut prep.b_votes[i];
-            for &vote in &patch {
-                tally.add(vote);
-            }
-            support.push(tally.majority().unwrap_or(0));
-            for &vote in &patch {
-                tally.remove(vote);
-            }
-            prep.patch = patch;
+            let support = tally.patched(&prep.patch).majority().unwrap_or(0);
+            prep.support.push(support);
         }
-        let leader = small_majority_or(&support, 0) as usize;
-        support.clear();
-        prep.support = support;
+        let leader = majority_or(prep.support.iter().copied(), 0) as usize;
+        prep.support.clear();
 
         // R = majority of the leader block's slot votes.
-        let slot = {
-            let mut patch = std::mem::take(&mut prep.patch);
-            patch.clear();
-            for &member in &prep.faulty_by_block[leader] {
-                let (_, j) = p.block_of(member);
-                let state = view.get(member).as_boosted_inner();
-                patch.push(p.pointer(leader, self.inner_value(j, state)).r);
-            }
-            let tally = &mut prep.r_votes[leader];
-            for &vote in &patch {
-                tally.add(vote);
-            }
-            let slot = tally.majority().unwrap_or(0);
-            for &vote in &patch {
-                tally.remove(vote);
-            }
-            prep.patch = patch;
-            slot
-        };
-
-        // 3. Instruction set I_R on the patched a-register tally.
-        let mut patch = std::mem::take(&mut prep.patch);
-        patch.clear();
-        for faulty in prep.faulty_by_block.iter().flatten() {
-            patch.push(view.get(*faulty).as_boosted().regs.a);
+        prep.patch.clear();
+        for at in prep.block_at[leader]..prep.block_at[leader + 1] {
+            prep.patch
+                .push(p.pointer(leader, inner_value(at, leader)).r);
         }
-        for &vote in &patch {
-            prep.a_votes.add(vote);
+        let slot = prep.r_votes[leader].patched(&prep.patch).majority();
+        let slot = slot.unwrap_or(0);
+
+        // 3. Instruction set I_R on the patched a-register tally; the king
+        // slot I_{3ℓ+2} reads the king's value and no tally (Table 2).
+        prep.patch.clear();
+        if slot % 3 != 2 {
+            let votes = prep.seen.iter().map(|&state| self.regs_of(state).a);
+            prep.patch.extend(votes);
         }
         let king = p.pk().king_of_group(slot / 3);
-        let king_value = view.get(king).as_boosted().regs.a;
-        let me = view.get(node).as_boosted();
         let regs = execute_slot(
             p.pk(),
-            me.regs,
+            self.regs_of(received.get(node)),
             slot,
-            &prep.a_votes,
-            king_value,
+            &prep.a_votes.patched(&prep.patch),
+            self.regs_of(received.get(king.index())).a,
             IncrementMode::Counting,
         );
-        for &vote in &patch {
-            prep.a_votes.remove(vote);
-        }
-        patch.clear();
-        prep.patch = patch;
+        prep.patch.clear();
+        prep.seen.clear();
+        self.with(next_inner, regs)
+    }
+}
 
-        BoostedState {
-            inner: next_inner,
-            regs,
+impl Algorithm {
+    fn layout(&self, faulty: &[usize]) -> RoundPrep {
+        match self {
+            Algorithm::Trivial(_) | Algorithm::Lut(_) => RoundPrep::Passthrough,
+            Algorithm::Boosted(b) => RoundPrep::Boosted(Box::new(b.layout(faulty))),
+        }
+    }
+
+    fn refill(&self, prep: &mut RoundPrep, base: Window<'_, '_>) {
+        if let (Algorithm::Boosted(b), RoundPrep::Boosted(prep)) = (self, prep) {
+            b.refill(prep, base);
+        }
+    }
+
+    fn step_prepared_in(
+        &self,
+        node: usize,
+        received: Window<'_, '_>,
+        prep: &mut RoundPrep,
+        ctx: &mut StepContext<'_>,
+    ) -> CounterState {
+        match (self, prep) {
+            (Algorithm::Boosted(b), RoundPrep::Boosted(prep)) => {
+                b.step_with(node, received, prep, ctx)
+            }
+            (algo, RoundPrep::Passthrough) => algo.step_in(node, received, ctx),
+            (_, RoundPrep::Boosted(_)) => {
+                panic!("round preparation belongs to a different algorithm kind")
+            }
         }
     }
 }
@@ -235,10 +228,19 @@ impl PreparedProtocol for Algorithm {
     type RoundPrep = RoundPrep;
 
     fn prepare_round(&self, base: Broadcast<'_, CounterState>, faulty: &[NodeId]) -> RoundPrep {
-        match self {
-            Algorithm::Trivial(_) | Algorithm::Lut(_) => RoundPrep::Passthrough,
-            Algorithm::Boosted(b) => RoundPrep::Boosted(Box::new(b.prepare(base, faulty))),
-        }
+        let faulty: Vec<usize> = faulty.iter().map(|id| id.index()).collect();
+        let mut prep = self.layout(&faulty);
+        self.refill_round(&mut prep, base, &[]);
+        prep
+    }
+
+    fn refill_round(
+        &self,
+        prep: &mut RoundPrep,
+        base: Broadcast<'_, CounterState>,
+        _faulty: &[NodeId],
+    ) {
+        self.refill(prep, Window::top(&MessageView::from(base)));
     }
 
     fn step_prepared(
@@ -248,15 +250,7 @@ impl PreparedProtocol for Algorithm {
         prep: &mut RoundPrep,
         ctx: &mut StepContext<'_>,
     ) -> CounterState {
-        match (self, prep) {
-            (Algorithm::Boosted(b), RoundPrep::Boosted(prep)) => {
-                CounterState::Boosted(Box::new(b.step_with(node, view, prep, ctx)))
-            }
-            (algo, RoundPrep::Passthrough) => algo.step(node, view, ctx),
-            (_, RoundPrep::Boosted(_)) => {
-                panic!("round preparation belongs to a different algorithm kind")
-            }
-        }
+        self.step_prepared_in(node.index(), Window::top(view), prep, ctx)
     }
 }
 
@@ -266,26 +260,7 @@ mod tests {
     use crate::CounterBuilder;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn small_majority_matches_majority_or() {
-        use sc_protocol::majority_or;
-        let cases: &[&[u64]] = &[
-            &[],
-            &[3],
-            &[1, 1, 2],
-            &[1, 2, 3],
-            &[2, 2, 1, 1],
-            &[0, 0, 0, 5, 5],
-        ];
-        for values in cases {
-            assert_eq!(
-                small_majority_or(values, 7),
-                majority_or(values.iter().copied(), 7),
-                "{values:?}"
-            );
-        }
-    }
+    use sc_protocol::SyncProtocol as _;
 
     /// Fault-free single-round agreement between `step` and `step_prepared`
     /// on the A(4,1) construction from arbitrary configurations. (The full

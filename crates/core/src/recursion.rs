@@ -1,8 +1,10 @@
 //! The recursive constructions (§4): Corollary 1, Theorem 2, Theorem 3.
 
-use sc_protocol::{checked_pow_u64, Counter as _, ParamError, SyncProtocol as _};
+use sc_protocol::{checked_pow_u64, ParamError};
 
 use crate::algorithm::Algorithm;
+use crate::params::BoostParams;
+use crate::trivial::TrivialCounter;
 
 /// One boosting level of a planned recursion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,10 +202,22 @@ impl CounterBuilder {
         let (n, f) = (self.n(), self.f());
         // Validate now with a placeholder modulus (the real one is derived
         // at build time and cannot make validation stricter).
-        crate::params::BoostParams::new(n, f, k, f_total, 2, self.king_slack)?;
+        BoostParams::new(n, f, k, f_total, 2, self.king_slack)?;
         level_c_req(k, f_total, self.king_slack)?;
         self.levels.push(Level { k, f: f_total });
         Ok(self)
+    }
+
+    /// The modulus of every level, base first: level `ℓ` counts modulo
+    /// the `c_req` of level `ℓ + 1`, the topmost modulo the builder's own.
+    fn moduli(&self) -> Result<Vec<u64>, ParamError> {
+        let mut moduli = self
+            .levels
+            .iter()
+            .map(|lv| level_c_req(lv.k, lv.f, self.king_slack))
+            .collect::<Result<Vec<_>, _>>()?;
+        moduli.push(self.modulus);
+        Ok(moduli)
     }
 
     /// Builds the counter, deriving the modulus chain bottom-up.
@@ -211,63 +225,55 @@ impl CounterBuilder {
     /// # Errors
     ///
     /// Returns [`ParamError`] if any level's parameters are inconsistent or
-    /// overflow, or if the top-level modulus is < 2.
+    /// overflow, if the top-level modulus is < 2, or if the state outgrows
+    /// the 128-bit word (only [`CounterBuilder::plan`] describes such stacks).
     pub fn build(&self) -> Result<Algorithm, ParamError> {
-        if self.levels.is_empty() {
-            return Algorithm::trivial(self.modulus);
-        }
-        let c_req: Vec<u64> = self
-            .levels
-            .iter()
-            .map(|lv| level_c_req(lv.k, lv.f, self.king_slack))
-            .collect::<Result<_, _>>()?;
-        let mut algo = Algorithm::trivial(c_req[0])?;
-        for (i, lv) in self.levels.iter().enumerate() {
-            let c_out = if i + 1 < self.levels.len() {
-                c_req[i + 1]
-            } else {
-                self.modulus
-            };
+        let moduli = self.moduli()?;
+        let mut algo = Algorithm::trivial(moduli[0])?;
+        for (lv, &c_out) in self.levels.iter().zip(&moduli[1..]) {
             algo = Algorithm::boosted(algo, lv.k, lv.f, c_out, self.king_slack)?;
         }
         Ok(algo)
     }
 
-    /// Builds the counter and summarises every level (base first).
+    /// Summarises every level (base first) from the recurrences of
+    /// Theorem 1 alone — also for stacks too large to build or run.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CounterBuilder::build`].
+    /// Returns [`ParamError`] if any level's parameters are inconsistent or
+    /// overflow, or if the top-level modulus is < 2.
     pub fn plan(&self) -> Result<Vec<LevelPlan>, ParamError> {
-        let algo = self.build()?;
-        let mut plans = Vec::new();
-        collect_plans(&algo, &mut plans);
-        plans.reverse();
-        for (i, p) in plans.iter_mut().enumerate() {
-            p.level = i;
+        let moduli = self.moduli()?;
+        let (mut n, mut f, mut time_bound) = (1, 0, 0);
+        let mut state_bits = TrivialCounter::new(moduli[0])?.state_bits();
+        let mut plans = Vec::with_capacity(moduli.len());
+        for (level, &modulus) in moduli.iter().enumerate() {
+            let mut k = 0;
+            if let Some(lv) = level.checked_sub(1).map(|below| self.levels[below]) {
+                let p = BoostParams::new(n, f, lv.k, lv.f, modulus, self.king_slack)?;
+                (n, f, k) = (p.n_total(), lv.f, lv.k);
+                state_bits += p.state_overhead_bits();
+                time_bound += p.time_overhead();
+            }
+            plans.push(LevelPlan {
+                level,
+                n,
+                f,
+                k,
+                modulus,
+                state_bits,
+                time_bound,
+            });
         }
         Ok(plans)
-    }
-}
-
-fn collect_plans(algo: &Algorithm, out: &mut Vec<LevelPlan>) {
-    out.push(LevelPlan {
-        level: 0, // fixed up by the caller
-        n: algo.n(),
-        f: algo.resilience(),
-        k: algo.as_boosted_counter().map_or(0, |b| b.params().k()),
-        modulus: algo.modulus(),
-        state_bits: algo.state_bits(),
-        time_bound: algo.stabilization_bound(),
-    });
-    if let Some(b) = algo.as_boosted_counter() {
-        collect_plans(b.inner(), out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sc_protocol::{Counter as _, SyncProtocol as _};
 
     #[test]
     fn corollary1_matches_paper_parameters() {

@@ -134,6 +134,24 @@ impl BitVec {
         }
     }
 
+    /// [`push_bits`](BitVec::push_bits) for fields of up to 128 bits — a
+    /// whole packed counter state is one such field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 128` or if `value` does not fit in `width` bits.
+    pub fn push_wide(&mut self, value: u128, width: u32) {
+        assert!(width <= 128, "width {width} exceeds u128");
+        assert!(
+            width == 128 || value >> width == 0,
+            "value {value} does not fit in {width} bits"
+        );
+        if width > 64 {
+            self.push_bits((value >> 64) as u64, width - 64);
+        }
+        self.push_bits(value as u64, width.min(64));
+    }
+
     /// Appends a single bit.
     pub fn push_bit(&mut self, bit: bool) {
         let word = self.len / 64;
@@ -244,6 +262,25 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
+    /// [`read_bits`](BitReader::read_bits) for fields of up to 128 bits.
+    /// Consumes nothing unless the whole field is there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::OutOfBits`] when fewer than `width` bits remain.
+    pub fn read_wide(&mut self, width: u32) -> Result<u128, CodecError> {
+        assert!(width <= 128, "width {width} exceeds u128");
+        if (width as usize) > self.remaining() {
+            return Err(CodecError::OutOfBits {
+                wanted: width as usize,
+                remaining: self.remaining(),
+            });
+        }
+        let high = width.saturating_sub(64);
+        let upper = u128::from(self.read_bits(high)?);
+        Ok(upper << 64 | u128::from(self.read_bits(width - high)?))
+    }
+
     /// Reads a single bit.
     ///
     /// # Errors
@@ -345,6 +382,48 @@ mod tests {
     fn push_rejects_oversized_values() {
         let mut bits = BitVec::new();
         bits.push_bits(8, 3);
+    }
+
+    #[test]
+    fn wide_fields_equal_their_narrow_halves() {
+        let value = 0x1_2345_6789_abcd_ef01_2345u128;
+        for width in [0u32, 7, 64, 65, 81, 128] {
+            let field = if width == 128 {
+                value
+            } else {
+                value & ((1u128 << width) - 1)
+            };
+            let mut wide = BitVec::new();
+            wide.push_bit(true); // unaligned start
+            wide.push_wide(field, width);
+            let mut narrow = BitVec::new();
+            narrow.push_bit(true);
+            narrow.push_bits((field >> 64) as u64, width.saturating_sub(64));
+            narrow.push_bits(field as u64, width.min(64));
+            assert_eq!(wide, narrow, "width {width}");
+            let mut r = wide.reader();
+            assert!(r.read_bit().unwrap());
+            assert_eq!(r.read_wide(width).unwrap(), field, "width {width}");
+        }
+        let mut short = BitVec::new();
+        short.push_bits(5, 70 - 64);
+        short.push_bits(0, 63);
+        let mut r = short.reader();
+        assert_eq!(
+            r.read_wide(70),
+            Err(CodecError::OutOfBits {
+                wanted: 70,
+                remaining: 69
+            })
+        );
+        assert_eq!(r.remaining(), 69, "a failed wide read consumes nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn push_wide_rejects_oversized_values() {
+        let mut bits = BitVec::new();
+        bits.push_wide(1 << 70, 70);
     }
 
     #[test]

@@ -213,8 +213,9 @@ pub trait Fingerprint: Counter {
 /// randomness, and leave `prep` logically unchanged (patch-and-undo). The
 /// `engine_equivalence` tests enforce this bitwise on the paper's counters.
 pub trait PreparedProtocol: SyncProtocol {
-    /// The shared per-round precomputation.
-    type RoundPrep;
+    /// The shared per-round precomputation. An engine keeps one for a
+    /// whole execution, so it borrows nothing from a round.
+    type RoundPrep: 'static;
 
     /// Builds the round's shared state from the broadcast vector `base`
     /// (faulty entries are placeholders and must be ignored) and the sorted
@@ -223,6 +224,21 @@ pub trait PreparedProtocol: SyncProtocol {
     /// constructions clone or reallocate states to call this.
     fn prepare_round(&self, base: Broadcast<'_, Self::State>, faulty: &[NodeId])
         -> Self::RoundPrep;
+
+    /// Brings `prep` — built by
+    /// [`prepare_round`](PreparedProtocol::prepare_round) for the same fault
+    /// set — up to the next round's broadcast, so that what one execution
+    /// never changes (the fault layout, buffer capacity) is computed and
+    /// allocated once. Must leave `prep` equal to a fresh `prepare_round`;
+    /// the default is exactly that.
+    fn refill_round(
+        &self,
+        prep: &mut Self::RoundPrep,
+        base: Broadcast<'_, Self::State>,
+        faulty: &[NodeId],
+    ) {
+        *prep = self.prepare_round(base, faulty);
+    }
 
     /// The transition of `node`, using — and restoring — the shared
     /// precomputation.

@@ -47,8 +47,13 @@ enum OverrideSlot<'a, S> {
         pinned: &'a [S],
         /// States fabricated this round ([`MessageSource::Fabricated`]).
         fabricated: &'a [S],
-        /// The per-receiver `(faulty sender, lease)` vector.
+        /// The per-receiver `(faulty sender, lease)` vector, sorted by
+        /// sender.
         sources: &'a [(NodeId, MessageSource)],
+        /// Bit `v mod 64` is set for every overridden sender `v`: a clear
+        /// bit answers "not overridden" without looking at `sources`
+        /// (exactly so for `n ≤ 64`, conservatively beyond).
+        filter: u64,
     },
 }
 
@@ -94,6 +99,17 @@ impl<'a, S> Broadcast<'a, S> {
     /// networks).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<'a, S> From<Broadcast<'a, S>> for MessageView<'a, S> {
+    /// The view every receiver shares when nobody lies: `base` itself, no
+    /// overrides.
+    fn from(base: Broadcast<'a, S>) -> Self {
+        MessageView {
+            base,
+            overrides: OverrideSlot::Owned(&[]),
+        }
     }
 }
 
@@ -203,6 +219,10 @@ impl<'a, S> MessageView<'a, S> {
     /// This is the hot-path constructor of the borrow-based message plane —
     /// the lease vector is plain `Copy` data living in reusable engine
     /// scratch, so building a receiver's view allocates and clones nothing.
+    /// `sources` must be sorted by sender and duplicate-free (engines fill
+    /// it in fault-set order, which is): [`get`](MessageView::get) finds an
+    /// overridden sender by binary search and answers for every other
+    /// sender from a 64-bit filter without searching at all.
     pub fn from_sources(
         base: &'a [S],
         pinned: &'a [S],
@@ -213,12 +233,20 @@ impl<'a, S> MessageView<'a, S> {
             sources.iter().all(|(id, _)| id.index() < base.len()),
             "override for node outside the network"
         );
+        debug_assert!(
+            sources.windows(2).all(|w| w[0].0 < w[1].0),
+            "lease vector must be sorted by sender and duplicate-free"
+        );
+        let filter = sources
+            .iter()
+            .fold(0u64, |bits, (id, _)| bits | 1 << (id.index() % 64));
         MessageView {
             base: Broadcast::States(base),
             overrides: OverrideSlot::Sourced {
                 pinned,
                 fabricated,
                 sources,
+                filter,
             },
         }
     }
@@ -258,10 +286,11 @@ impl<'a, S> MessageView<'a, S> {
                 pinned,
                 fabricated,
                 sources,
+                filter,
             } => {
-                for (id, source) in sources {
-                    if *id == sender {
-                        return match *source {
+                if filter >> (sender.index() % 64) & 1 == 1 {
+                    if let Ok(at) = sources.binary_search_by_key(&sender, |&(id, _)| id) {
+                        return match sources[at].1 {
                             MessageSource::Broadcast(donor) => self.base.get(donor.index()),
                             MessageSource::Pinned(slot) => &pinned[slot as usize],
                             MessageSource::Fabricated(slot) => &fabricated[slot as usize],
@@ -413,6 +442,37 @@ mod tests {
             view.iter().copied().collect::<Vec<_>>(),
             vec![30, 77, 30, 99]
         );
+    }
+
+    #[test]
+    fn sourced_lookup_skips_the_search_for_honest_senders_beyond_64_nodes() {
+        // 130 nodes: senders 3 and 67 share a filter bit, 128 sits past two
+        // filter laps; every sender must still resolve exactly.
+        let base: Vec<u32> = (0..130).collect();
+        let fabricated = vec![1000u32, 1001];
+        let sources = [
+            (NodeId::new(3), MessageSource::Fabricated(0)),
+            (NodeId::new(128), MessageSource::Fabricated(1)),
+        ];
+        let view = MessageView::from_sources(&base, &[], &fabricated, &sources);
+        for v in 0..130u32 {
+            let expected = match v {
+                3 => 1000,
+                128 => 1001,
+                honest => honest,
+            };
+            assert_eq!(*view.get(NodeId::new(v as usize)), expected, "sender {v}");
+        }
+    }
+
+    #[test]
+    fn a_broadcast_is_a_view_without_overrides() {
+        let base = vec![4u32, 5, 6];
+        let view = MessageView::from(Broadcast::States(&base));
+        assert_eq!(view.iter().copied().collect::<Vec<_>>(), base);
+        let refs = [&base[2], &base[0]];
+        let view = MessageView::from(Broadcast::Refs(&refs));
+        assert_eq!(view.iter().copied().collect::<Vec<_>>(), vec![6, 4]);
     }
 
     #[test]

@@ -27,18 +27,32 @@ use std::collections::BTreeMap;
 pub fn majority<I, T>(values: I) -> Option<T>
 where
     I: IntoIterator<Item = T>,
-    T: Ord,
+    I::IntoIter: Clone,
+    T: Eq,
 {
-    let mut counts: BTreeMap<T, usize> = BTreeMap::new();
-    let mut total = 0usize;
-    for v in values {
-        *counts.entry(v).or_insert(0) += 1;
+    // Boyer–Moore: the only possible strict-majority value survives the
+    // pairing pass; a second pass over the same votes confirms it. No heap,
+    // so the votes of §3.3 cost nothing beyond computing them twice.
+    let votes = values.into_iter();
+    let mut candidate = None;
+    let mut lead = 0usize;
+    for v in votes.clone() {
+        if lead == 0 {
+            candidate = Some(v);
+            lead = 1;
+        } else if candidate.as_ref() == Some(&v) {
+            lead += 1;
+        } else {
+            lead -= 1;
+        }
+    }
+    let candidate = candidate?;
+    let (mut count, mut total) = (0usize, 0usize);
+    for v in votes {
+        count += usize::from(v == candidate);
         total += 1;
     }
-    counts
-        .into_iter()
-        .find(|(_, count)| 2 * count > total)
-        .map(|(value, _)| value)
+    (2 * count > total).then_some(candidate)
 }
 
 /// Returns the strict-majority value of `values`, or `default` when no
@@ -58,6 +72,7 @@ where
 pub fn majority_or<I>(values: I, default: u64) -> u64
 where
     I: IntoIterator<Item = u64>,
+    I::IntoIter: Clone,
 {
     majority(values).unwrap_or(default)
 }
@@ -192,14 +207,55 @@ impl VoteCounts for Tally {
     }
 }
 
-/// A tally supporting cheap *add → query → undo* patching.
+/// A sequence of votes that is its own tally: every query walks the votes
+/// again, so nothing is stored — the form for a receiver's full vector,
+/// whose votes are cheap to recompute and queried a few times at most.
+///
+/// # Example
+///
+/// ```
+/// use sc_protocol::{Rescan, VoteCounts as _};
+///
+/// let received = [7u64, 3, 7, 9];
+/// let z = Rescan(received.iter().copied());
+/// assert_eq!((z.total(), z.count(7)), (4, 2));
+/// assert_eq!(z.min_value_with_count_over(0), Some(3));
+/// assert_eq!(z.min_value_with_count_over(1), Some(7));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Rescan<I>(pub I);
+
+impl<I: Iterator<Item = u64> + Clone> VoteCounts for Rescan<I> {
+    fn count(&self, value: u64) -> usize {
+        self.0.clone().filter(|&v| v == value).count()
+    }
+
+    fn total(&self) -> usize {
+        self.0.clone().count()
+    }
+
+    fn min_value_with_count_over(&self, threshold: usize) -> Option<u64> {
+        // Only a value below the best so far is worth counting.
+        self.0.clone().fold(None, |least, v| {
+            let better = least.is_none_or(|found| v < found) && self.count(v) > threshold;
+            if better {
+                Some(v)
+            } else {
+                least
+            }
+        })
+    }
+}
+
+/// A tally that is shared between receivers and *patched* per receiver.
 ///
 /// The boosting construction's majority votes are taken per receiver, but
 /// the votes of honest senders are identical for every receiver — only the
 /// ≤ `f` Byzantine overrides differ. A `DeltaTally` holds the shared honest
-/// part, and each receiver temporarily [`add`](DeltaTally::add)s the faulty
-/// votes, queries, then [`remove`](DeltaTally::remove)s them: `O(f)` work
-/// per receiver instead of `O(n)`, with no allocation in the steady state.
+/// part, built once per round, and each receiver queries it
+/// [`patched`](DeltaTally::patched) with the faulty votes it received:
+/// `O(f)` work per query instead of `O(n)` per receiver, nothing written
+/// and nothing allocated.
 ///
 /// Backed by a sorted `Vec` — for the tally sizes of a round (≤ `n`
 /// entries) this is far faster than a tree map, and `min` queries are the
@@ -210,14 +266,12 @@ impl VoteCounts for Tally {
 /// ```
 /// use sc_protocol::{DeltaTally, VoteCounts as _};
 ///
-/// let mut z = DeltaTally::from_values([4u64, 4, 9, 1]);
+/// let z = DeltaTally::from_values([4u64, 4, 9, 1]);
 /// assert_eq!(z.majority(), None); // 2 of 4 is not strict
-/// z.add(4);
-/// assert_eq!(z.count(4), 3);
-/// assert_eq!(z.majority(), Some(4)); // 3 of 5
-/// z.remove(4); // undo: back to the shared honest part
-/// assert_eq!(z.count(4), 2);
-/// assert_eq!(z.majority(), None);
+/// let seen = z.patched(&[4]); // one receiver also got a 4
+/// assert_eq!(seen.count(4), 3);
+/// assert_eq!(seen.majority(), Some(4)); // 3 of 5
+/// assert_eq!(z.count(4), 2); // the shared part is untouched
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeltaTally {
@@ -230,6 +284,21 @@ impl DeltaTally {
     /// Creates an empty tally.
     pub fn new() -> Self {
         DeltaTally::default()
+    }
+
+    /// An empty tally with room for `distinct` different values, so that
+    /// refilling it round after round never reallocates.
+    pub fn with_capacity(distinct: usize) -> Self {
+        DeltaTally {
+            counts: Vec::with_capacity(distinct),
+            total: 0,
+        }
+    }
+
+    /// Empties the tally, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.counts.clear();
+        self.total = 0;
     }
 
     /// Builds a tally from an iterator of values.
@@ -250,24 +319,65 @@ impl DeltaTally {
         self.total += 1;
     }
 
-    /// Removes one occurrence of `value` previously recorded with
-    /// [`add`](DeltaTally::add).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is not currently in the tally — an unmatched undo
-    /// is always a caller bug.
-    pub fn remove(&mut self, value: u64) {
-        let i = self
-            .counts
-            .binary_search_by_key(&value, |&(v, _)| v)
-            .unwrap_or_else(|_| panic!("removing value {value} not in tally"));
-        if self.counts[i].1 == 1 {
-            self.counts.remove(i);
-        } else {
-            self.counts[i].1 -= 1;
+    /// This tally as seen by a receiver who got the `extra` votes on top.
+    pub fn patched<'a>(&'a self, extra: &'a [u64]) -> Patched<'a> {
+        Patched {
+            shared: self,
+            extra,
         }
-        self.total -= 1;
+    }
+}
+
+/// A [`DeltaTally`] plus one receiver's handful of extra votes; see
+/// [`DeltaTally::patched`].
+#[derive(Clone, Copy, Debug)]
+pub struct Patched<'a> {
+    shared: &'a DeltaTally,
+    extra: &'a [u64],
+}
+
+impl Patched<'_> {
+    fn extra_count(&self, value: u64) -> usize {
+        self.extra.iter().filter(|&&v| v == value).count()
+    }
+}
+
+impl VoteCounts for Patched<'_> {
+    fn count(&self, value: u64) -> usize {
+        self.shared.count(value) + self.extra_count(value)
+    }
+
+    fn total(&self) -> usize {
+        self.shared.total + self.extra.len()
+    }
+
+    fn min_value_with_count_over(&self, threshold: usize) -> Option<u64> {
+        // Few values can pass even if every extra vote went to them, and
+        // those are the only ones the extra votes are counted for.
+        let reach = self.extra.len();
+        let shared = self
+            .shared
+            .counts
+            .iter()
+            .find(|&&(v, count)| {
+                let count = count as usize;
+                count + reach > threshold && count + self.extra_count(v) > threshold
+            })
+            .map(|&(v, _)| v);
+        // A value that only the extra votes carry may come first.
+        let lone = |&v: &u64| self.shared.count(v) == 0 && self.extra_count(v) > threshold;
+        let extra = if reach > threshold {
+            self.extra.iter().copied().filter(lone).min()
+        } else {
+            None
+        };
+        // (Kept a plain match: this is the innermost query of every prepared
+        // step, and `[shared, extra].into_iter().flatten().min()` measured
+        // 1.5× on the whole fault-free round.)
+        match (shared, extra) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 
@@ -400,25 +510,87 @@ mod tests {
     }
 
     #[test]
-    fn delta_tally_add_remove_round_trips() {
-        let base = [3u64, 3, 7, u64::MAX];
-        let mut t = DeltaTally::from_values(base);
-        let snapshot = t.clone();
-        for patch in [[1u64, 3], [9, 9], [u64::MAX, 0]] {
-            for v in patch {
+    fn delta_tally_clear_keeps_its_capacity() {
+        let mut t = DeltaTally::with_capacity(4);
+        let capacity = t.counts.capacity();
+        for round in 0..3u64 {
+            t.clear();
+            assert_eq!((VoteCounts::total(&t), t.majority()), (0, None));
+            for v in [round, round + 1, round + 2, round] {
                 t.add(v);
             }
-            for v in patch {
-                t.remove(v);
-            }
-            assert_eq!(t, snapshot, "patch {patch:?} did not undo cleanly");
+            assert_eq!(t.majority(), None);
+            assert_eq!(VoteCounts::count(&t, round), 2);
         }
+        assert_eq!(t.counts.capacity(), capacity);
     }
 
     #[test]
-    #[should_panic(expected = "not in tally")]
-    fn delta_tally_rejects_unmatched_remove() {
-        let mut t = DeltaTally::from_values([1u64]);
-        t.remove(2);
+    fn rescan_agrees_with_tally() {
+        let multisets: &[&[u64]] = &[
+            &[],
+            &[7],
+            &[9, 4, 4, u64::MAX],
+            &[5, 8, 5, 8, 5, u64::MAX],
+            &[6, 5, 4, 3],
+        ];
+        for values in multisets {
+            let tree: Tally = values.iter().copied().collect();
+            let scan = Rescan(values.iter().copied());
+            assert_eq!(scan.total(), tree.total());
+            for probe in [0u64, 4, 5, 8, u64::MAX] {
+                assert_eq!(
+                    scan.count(probe),
+                    tree.count(probe),
+                    "{values:?} count {probe}"
+                );
+            }
+            for threshold in 0..values.len() + 1 {
+                assert_eq!(
+                    scan.min_value_with_count_over(threshold),
+                    tree.min_value_with_count_over(threshold),
+                    "{values:?} over {threshold}"
+                );
+            }
+            assert_eq!(VoteCounts::majority(&scan), tree.majority(), "{values:?}");
+        }
+    }
+
+    /// A patched view must answer every query like a tally that really
+    /// holds the extra votes — and leave the shared tally as it was.
+    #[test]
+    fn patched_view_agrees_with_a_tally_holding_the_extra_votes() {
+        let base = [3u64, 3, 7, u64::MAX];
+        let shared = DeltaTally::from_values(base);
+        let snapshot = shared.clone();
+        let patches: &[&[u64]] = &[
+            &[],
+            &[1, 3],
+            &[9, 9],
+            &[u64::MAX, 0],
+            &[0, 0, 0],
+            &[7, 7, 3],
+        ];
+        for extra in patches {
+            let seen = shared.patched(extra);
+            let whole: Tally = base.iter().chain(*extra).copied().collect();
+            for probe in [0u64, 1, 3, 7, 9, u64::MAX] {
+                assert_eq!(
+                    seen.count(probe),
+                    whole.count(probe),
+                    "{extra:?} count {probe}"
+                );
+            }
+            assert_eq!(seen.total(), whole.total());
+            for threshold in 0..whole.total() + 1 {
+                assert_eq!(
+                    seen.min_value_with_count_over(threshold),
+                    whole.min_value_with_count_over(threshold),
+                    "{extra:?} over {threshold}"
+                );
+            }
+            assert_eq!(seen.majority(), whole.majority(), "{extra:?}");
+        }
+        assert_eq!(shared, snapshot);
     }
 }

@@ -112,7 +112,7 @@ impl PullState {
     ///
     /// Panics on a state of a different level kind.
     #[track_caller]
-    pub fn as_boosted(&self) -> &PullBoostedState {
+    pub fn boosted(&self) -> &PullBoostedState {
         match self {
             PullState::Boosted(b) => b,
             other => panic!("expected boosted pull state, got {other:?}"),
@@ -155,7 +155,7 @@ impl PullCounter {
     ///         Sampling::Full
     ///     }
     /// })?;
-    /// assert!(pc.as_boosted().is_some());
+    /// assert!(pc.boosting_layer().is_some());
     /// # Ok(())
     /// # }
     /// ```
@@ -242,7 +242,7 @@ impl PullCounter {
     }
 
     /// The boosted top level, if any.
-    pub fn as_boosted(&self) -> Option<&PullBoosted> {
+    pub fn boosting_layer(&self) -> Option<&PullBoosted> {
         match self {
             PullCounter::Boosted(b) => Some(b),
             PullCounter::Trivial(_) => None,
@@ -274,7 +274,7 @@ impl PullCounter {
         match self {
             PullCounter::Trivial(t) => out.push_bits(state.as_trivial(), t.state_bits()),
             PullCounter::Boosted(b) => {
-                let s = state.as_boosted();
+                let s = state.boosted();
                 let (_, local) = b.params.block_of(node);
                 b.inner.encode_state(NodeId::new(local), &s.inner, out);
                 s.regs.encode(b.params.c_out(), out);
@@ -407,7 +407,7 @@ impl PullProtocol for PullCounter {
                         let mut plan_rng = b.plan_rng(node, rng);
                         let (block, _local) = p.block_of(node);
                         let start = block * p.n_inner();
-                        let me = state.as_boosted();
+                        let me = state.boosted();
                         // 1. The inner counter's own pulls, appended in
                         //    place and then block-offset — no inner vector.
                         let inner_from = out.len();
@@ -458,19 +458,16 @@ impl PullProtocol for PullCounter {
     ) -> Self::State {
         match self {
             PullCounter::Trivial(t) => PullState::Trivial(t.next(state.as_trivial())),
-            PullCounter::Boosted(b) => PullState::Boosted(Box::new(b.pull_step(
-                node,
-                state.as_boosted(),
-                responses,
-                ctx,
-            ))),
+            PullCounter::Boosted(b) => {
+                PullState::Boosted(Box::new(b.pull_step(node, state.boosted(), responses, ctx)))
+            }
         }
     }
 
     fn output(&self, _node: NodeId, state: &Self::State) -> u64 {
         match self {
             PullCounter::Trivial(t) => state.as_trivial() % t.modulus(),
-            PullCounter::Boosted(b) => state.as_boosted().regs.output(b.params.c_out()),
+            PullCounter::Boosted(b) => state.boosted().regs.output(b.params.c_out()),
         }
     }
 
@@ -515,7 +512,7 @@ impl PullResponses<PullState> for ProjectedInner<'_> {
     }
 
     fn state(&self, i: usize) -> &PullState {
-        &self.base.state(self.offset + i).as_boosted().inner
+        &self.base.state(self.offset + i).boosted().inner
     }
 }
 
@@ -588,7 +585,7 @@ impl PullBoosted {
             } else {
                 debug_assert!(next_response < responses.len(), "full plan covers all");
                 debug_assert_eq!(responses.target(next_response).index(), v);
-                all.push(responses.state(next_response).as_boosted());
+                all.push(responses.state(next_response).boosted());
                 next_response += 1;
             }
         }
@@ -700,8 +697,7 @@ impl PullBoosted {
         //    samples, then the leader block, then its slot counter.
         let pointer_of = |sample: usize| {
             let (i, j) = p.block_of(responses.target(block_off + sample));
-            let value =
-                self.inner_output(j, &responses.state(block_off + sample).as_boosted().inner);
+            let value = self.inner_output(j, &responses.state(block_off + sample).boosted().inner);
             p.pointer(i, value)
         };
         let mut block_support = Vec::with_capacity(p.k());
@@ -716,18 +712,18 @@ impl PullBoosted {
 
         // 3. Sampled phase king (Lemma 8): thresholds ⅔m / ⅓m.
         let tally: Tally = (0..m)
-            .map(|i| responses.state(pk_off + i).as_boosted().regs.a)
+            .map(|i| responses.state(pk_off + i).boosted().regs.a)
             .collect();
         let king = p.pk().king_of_group(slot / 3);
         let king_pull = (0..king_len).find(|&i| responses.target(king_off + i) == king);
         let king_value = match king_mode {
             KingPullMode::All => {
                 let i = king_pull.expect("all king candidates pulled");
-                responses.state(king_off + i).as_boosted().regs.a
+                responses.state(king_off + i).boosted().regs.a
             }
-            KingPullMode::Predicted => king_pull.map_or(INFINITY, |i| {
-                responses.state(king_off + i).as_boosted().regs.a
-            }),
+            KingPullMode::Predicted => {
+                king_pull.map_or(INFINITY, |i| responses.state(king_off + i).boosted().regs.a)
+            }
         };
         let regs = execute_slot(
             &self.pk,

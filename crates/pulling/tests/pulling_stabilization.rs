@@ -41,7 +41,7 @@ fn full_pulling_equals_broadcast_execution() {
         .map(|i| algo.random_state(NodeId::new(i), &mut rng))
         .collect();
     // Mirror the same configuration in the pulling state space.
-    let pull_states: Vec<_> = det_states.iter().map(mirror_state).collect();
+    let pull_states: Vec<_> = det_states.iter().map(|s| mirror_state(&algo, *s)).collect();
 
     let mut det = Simulation::with_states(&algo, adversaries::none(), det_states, 1);
     let mut pull = Simulation::with_states(&pulled, adversaries::none(), pull_states, 2);
@@ -60,17 +60,17 @@ fn full_pulling_equals_broadcast_execution() {
 /// Rebuilds a deterministic `CounterState` as a `PullState` (`prev_slot` has
 /// no deterministic counterpart; full mode recomputes it every round, so 0
 /// is fine).
-fn mirror_state(s: &sc_core::CounterState) -> sc_pulling::PullState {
-    match s {
-        sc_core::CounterState::Trivial(v) => sc_pulling::PullState::Trivial(*v),
-        sc_core::CounterState::Boosted(b) => {
+fn mirror_state(algo: &Algorithm, s: sc_core::CounterState) -> sc_pulling::PullState {
+    match algo {
+        Algorithm::Trivial(_) => sc_pulling::PullState::Trivial(algo.trivial_of(s)),
+        Algorithm::Boosted(b) => {
             sc_pulling::PullState::Boosted(Box::new(sc_pulling::PullBoostedState {
-                inner: mirror_state(&b.inner),
-                regs: b.regs,
+                inner: mirror_state(b.inner(), b.inner_of(s)),
+                regs: b.regs_of(s),
                 prev_slot: 0,
             }))
         }
-        sc_core::CounterState::Lut(_) => unreachable!("no LUT levels here"),
+        Algorithm::Lut(_) => unreachable!("no LUT levels here"),
     }
 }
 

@@ -117,13 +117,16 @@ impl_sample_uniform!(u8, u16, u32, u64, usize);
 /// Uniformly samples `v ∈ [0, span)` without modulo bias (Lemire rejection).
 fn sample_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let m = (rng.next_u64() as u128) * (span as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (span as u128);
+    // A draw is rejected when its low half is below `2^64 mod span`, which
+    // is below `span`: only then is the threshold (a division) worked out.
+    if (m as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128) * (span as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 /// A range type that [`Rng::random_range`] accepts.
@@ -245,6 +248,34 @@ mod tests {
             assert!(w <= 3);
             let z: u8 = rng.random_range(0..3u8);
             assert!(z < 3);
+        }
+    }
+
+    /// The nearly divisionless form must accept and reject exactly the
+    /// draws the textbook form does, or every seeded stream would shift.
+    #[test]
+    fn range_sampling_matches_textbook_lemire() {
+        fn textbook(rng: &mut SmallRng, span: u64) -> u64 {
+            let threshold = span.wrapping_neg() % span;
+            loop {
+                let m = (rng.next_u64() as u128) * (span as u128);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        // Spans near 2^63 reject almost half of all draws.
+        for span in [1u64, 2, 3, 960, 1728, (1 << 63) + 1, u64::MAX - 1, u64::MAX] {
+            let mut a = SmallRng::seed_from_u64(span);
+            let mut b = a.clone();
+            for _ in 0..2000 {
+                assert_eq!(
+                    sample_below(&mut a, span),
+                    textbook(&mut b, span),
+                    "span {span}"
+                );
+            }
+            assert_eq!(a, b, "span {span}: streams must stay aligned");
         }
     }
 

@@ -219,55 +219,53 @@ pub fn random<P: SyncProtocol>(
     protocol: &P,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> FreshRandom<'_, P::State> {
-    let sample: Sampler<'_, P::State> = Box::new(move |node, rng| protocol.random_state(node, rng));
-    FreshRandom {
-        faulty: normalize_faults(faulty),
-        rng: SmallRng::seed_from_u64(seed),
-        sample,
-    }
+) -> FreshRandom<impl Fn(NodeId, &mut SmallRng) -> P::State + '_> {
+    random_from(
+        move |node, rng| protocol.random_state(node, rng),
+        faulty,
+        seed,
+    )
 }
-
-type Sampler<'a, S> = Box<dyn Fn(NodeId, &mut SmallRng) -> S + 'a>;
 
 /// Like [`random`], but drawing fabricated states from an arbitrary sampler
 /// instead of a [`SyncProtocol`] — for protocols of other communication
 /// models (e.g. the pulling model).
-pub fn random_from<'a, S>(
-    sampler: impl Fn(NodeId, &mut SmallRng) -> S + 'a,
+pub fn random_from<S, F: Fn(NodeId, &mut SmallRng) -> S>(
+    sampler: F,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> FreshRandom<'a, S> {
+) -> FreshRandom<F> {
     FreshRandom {
         faulty: normalize_faults(faulty),
         rng: SmallRng::seed_from_u64(seed),
-        sample: Box::new(sampler),
+        sample: sampler,
     }
 }
 
 /// Like [`two_faced`], but drawing fallback states from an arbitrary sampler
 /// instead of a [`SyncProtocol`].
-pub fn two_faced_from<'a, S>(
-    sampler: impl Fn(NodeId, &mut SmallRng) -> S + 'a,
+pub fn two_faced_from<S, F: Fn(NodeId, &mut SmallRng) -> S>(
+    sampler: F,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> TwoFaced<'a, S> {
+) -> TwoFaced<F> {
     TwoFaced {
         faulty: normalize_faults(faulty),
         rng: SmallRng::seed_from_u64(seed),
-        sample: Box::new(sampler),
+        sample: sampler,
         faces: None,
     }
 }
 
-/// Adversary produced by [`random`].
-pub struct FreshRandom<'a, S> {
+/// Adversary produced by [`random`]; `F` is the state sampler, called —
+/// statically dispatched — once per fabricated message.
+pub struct FreshRandom<F> {
     faulty: Vec<NodeId>,
     rng: SmallRng,
-    sample: Sampler<'a, S>,
+    sample: F,
 }
 
-impl<S> std::fmt::Debug for FreshRandom<'_, S> {
+impl<F> std::fmt::Debug for FreshRandom<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FreshRandom")
             .field("faulty", &self.faulty)
@@ -275,7 +273,7 @@ impl<S> std::fmt::Debug for FreshRandom<'_, S> {
     }
 }
 
-impl<S: Clone + std::fmt::Debug> Adversary<S> for FreshRandom<'_, S> {
+impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for FreshRandom<F> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }
@@ -305,25 +303,23 @@ pub fn two_faced<P: SyncProtocol>(
     protocol: &P,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> TwoFaced<'_, P::State> {
-    let sample: Sampler<'_, P::State> = Box::new(move |node, rng| protocol.random_state(node, rng));
-    TwoFaced {
-        faulty: normalize_faults(faulty),
-        rng: SmallRng::seed_from_u64(seed),
-        sample,
-        faces: None,
-    }
+) -> TwoFaced<impl Fn(NodeId, &mut SmallRng) -> P::State + '_> {
+    two_faced_from(
+        move |node, rng| protocol.random_state(node, rng),
+        faulty,
+        seed,
+    )
 }
 
-/// Adversary produced by [`two_faced`].
-pub struct TwoFaced<'a, S> {
+/// Adversary produced by [`two_faced`]; `F` samples the fallback states.
+pub struct TwoFaced<F> {
     faulty: Vec<NodeId>,
     rng: SmallRng,
-    sample: Sampler<'a, S>,
+    sample: F,
     faces: Option<FacePair>,
 }
 
-impl<S> std::fmt::Debug for TwoFaced<'_, S> {
+impl<F> std::fmt::Debug for TwoFaced<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TwoFaced")
             .field("faulty", &self.faulty)
@@ -331,7 +327,7 @@ impl<S> std::fmt::Debug for TwoFaced<'_, S> {
     }
 }
 
-impl<S: Clone + std::fmt::Debug> Adversary<S> for TwoFaced<'_, S> {
+impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for TwoFaced<F> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }

@@ -1,9 +1,12 @@
 //! The synchronous execution engine.
 
+use std::any::Any;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_protocol::{
-    BitVec, Counter, Fingerprint, MessageView, NodeId, PreparedProtocol, StepContext, SyncProtocol,
+    BitVec, Broadcast, Counter, Fingerprint, MessageView, NodeId, PreparedProtocol, StepContext,
+    SyncProtocol,
 };
 
 use crate::adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport};
@@ -63,6 +66,11 @@ pub struct Simulation<'a, P: SyncProtocol, A> {
     mask: FaultMask,
     honest: Vec<NodeId>,
     workspace: RoundWorkspace<P::State>,
+    /// The [`PreparedProtocol::RoundPrep`] of this execution, built by the
+    /// first [`step_prepared`](Simulation::step_prepared) and refilled by
+    /// every later one. Type-erased because only that method knows `P` is
+    /// a `PreparedProtocol`.
+    prep: Option<Box<dyn Any>>,
     round: u64,
     rng: SmallRng,
 }
@@ -131,6 +139,7 @@ where
             mask,
             honest,
             workspace,
+            prep: None,
             round: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -251,9 +260,19 @@ where
         self.workspace.pool.begin_round();
         self.adversary.begin_round(&ctx, &mut self.workspace.pool);
 
-        let mut prep = self
-            .protocol
-            .prepare_round(sc_protocol::Broadcast::States(&self.states), &self.faulty);
+        let base = Broadcast::States(&self.states);
+        match self.prep.as_mut().map(|prep| prep.downcast_mut()) {
+            Some(prep) => {
+                let prep = prep.expect("one protocol per simulation");
+                self.protocol.refill_round(prep, base, &self.faulty);
+            }
+            None => self.prep = Some(Box::new(self.protocol.prepare_round(base, &self.faulty))),
+        }
+        let prep: &mut P::RoundPrep = self
+            .prep
+            .as_mut()
+            .and_then(|prep| prep.downcast_mut())
+            .expect("prepared above, as this type");
         for i in 0..self.states.len() {
             if self.mask.contains(i) {
                 continue;
@@ -275,7 +294,7 @@ where
             let mut step_ctx = StepContext::new(&mut self.rng);
             self.back[i] = self
                 .protocol
-                .step_prepared(receiver, &view, &mut prep, &mut step_ctx);
+                .step_prepared(receiver, &view, prep, &mut step_ctx);
         }
         std::mem::swap(&mut self.states, &mut self.back);
         self.round += 1;

@@ -185,8 +185,9 @@ pub fn synthesize(
 /// cross-checks every filtered candidate against the exhaustive verdict.
 ///
 /// The library implementation is `sc_attack`'s `AttackPreFilter`, which
-/// runs a budgeted scripted-attack search per candidate (sliced evals)
-/// and rejects when a found script provably prevents stabilisation for a
+/// runs a budgeted scripted-attack search per candidate — on the scalar
+/// early-decision engine, stopping at the first breaking script — and
+/// rejects when a found script provably prevents stabilisation for a
 /// horizon no correct candidate of that shape can need.
 pub trait CandidateFilter {
     /// Whether a cheap attack already breaks `lut`. `true` must be sound

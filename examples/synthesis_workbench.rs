@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for s0 in 0..2u8 {
         for s1 in 0..2u8 {
             let states = vec![
-                synchronous_counting::core::CounterState::Lut(s0),
-                synchronous_counting::core::CounterState::Lut(s1),
+                synchronous_counting::core::CounterState::new(s0.into()),
+                synchronous_counting::core::CounterState::new(s1.into()),
             ];
             let mut sim = Simulation::with_states(&algo, adversaries::none(), states, 0);
             let observed = sim.run_until_stable(64)?;

@@ -11,7 +11,7 @@ use synchronous_counting::sim::{adversaries, Simulation};
 #[test]
 fn common_incrementing_slot_window_appears_within_the_bound() {
     let algo = CounterBuilder::corollary1(1, 8).unwrap().build().unwrap();
-    let boosted = algo.as_boosted_counter().unwrap();
+    let boosted = algo.boosting_layer().unwrap();
     let tau = boosted.params().tau();
     let bound = algo.stabilization_bound();
 
@@ -59,7 +59,7 @@ fn observation_matches_leader_pointer_structure() {
     // The elected leader B is always one of the m candidates, and the slot
     // is always in [τ].
     let algo = CounterBuilder::corollary1(1, 8).unwrap().build().unwrap();
-    let boosted = algo.as_boosted_counter().unwrap();
+    let boosted = algo.boosting_layer().unwrap();
     let p = boosted.params();
     let adv = adversaries::random(&algo, [1], 5);
     let mut sim = Simulation::new(&algo, adv, 5);

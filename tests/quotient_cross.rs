@@ -257,9 +257,9 @@ fn quotient_witness_is_byte_identical_and_replays_on_the_simulator() {
     // Replay the quotient's witness on the real engine via the scripted
     // adversary: the live states must track the predicted configurations.
     let algo = Algorithm::lut(spec).unwrap();
-    let mut states = vec![CounterState::Lut(0); 4];
+    let mut states = vec![CounterState::new(0); 4];
     for (hi, &node) in witness.honest.iter().enumerate() {
-        states[node] = CounterState::Lut(witness.configs[0][hi]);
+        states[node] = CounterState::new(witness.configs[0][hi].into());
     }
     let script = Script::from_witness(&witness);
     let adversary = ScriptedAdversary::new(&script, &algo);
@@ -275,7 +275,7 @@ fn quotient_witness_is_byte_identical_and_replays_on_the_simulator() {
         for (hi, &node) in witness.honest.iter().enumerate() {
             assert_eq!(
                 sim.states()[node],
-                CounterState::Lut(witness.configs[idx][hi]),
+                CounterState::new(witness.configs[idx][hi].into()),
                 "round {t}: simulator diverged from the quotient witness"
             );
         }

@@ -36,7 +36,7 @@ fn verified_time_is_an_upper_bound_for_every_execution() {
     let algo = Algorithm::lut(follow_leader()).unwrap();
     for s0 in 0..2u8 {
         for s1 in 0..2u8 {
-            let states = vec![CounterState::Lut(s0), CounterState::Lut(s1)];
+            let states = vec![CounterState::new(s0.into()), CounterState::new(s1.into())];
             let mut sim = Simulation::with_states(&algo, adversaries::none(), states, 0);
             let report = sim.run_until_stable(64).unwrap();
             assert!(

@@ -38,9 +38,9 @@ fn checker_witness_replays_exactly_on_the_simulator() {
 
     // Start the simulator in the witness's first configuration.
     let algo = Algorithm::lut(spec).unwrap();
-    let mut states = vec![CounterState::Lut(0); 4];
+    let mut states = vec![CounterState::new(0); 4];
     for (hi, &node) in witness.honest.iter().enumerate() {
-        states[node] = CounterState::Lut(witness.configs[0][hi]);
+        states[node] = CounterState::new(witness.configs[0][hi].into());
     }
     // The witness imports losslessly as a script of raw moves; the
     // Algorithm's raw vocabulary is exact for LUT states, so the scripted
@@ -62,7 +62,7 @@ fn checker_witness_replays_exactly_on_the_simulator() {
         for (hi, &node) in witness.honest.iter().enumerate() {
             assert_eq!(
                 sim.states()[node],
-                CounterState::Lut(witness.configs[idx][hi]),
+                CounterState::new(witness.configs[idx][hi].into()),
                 "round {t}: simulator diverged from the witness at node {node}"
             );
         }
@@ -112,9 +112,9 @@ fn scripted_replay_rides_the_early_decision_exit() {
         panic!();
     };
     let algo = Algorithm::lut(spec).unwrap();
-    let mut states = vec![CounterState::Lut(0); 4];
+    let mut states = vec![CounterState::new(0); 4];
     for (hi, &node) in witness.honest.iter().enumerate() {
-        states[node] = CounterState::Lut(witness.configs[0][hi]);
+        states[node] = CounterState::new(witness.configs[0][hi].into());
     }
     let script = Script::from_witness(&witness);
     let horizon = 1 << 14;
