@@ -52,7 +52,9 @@ pub struct Delay {
 /// horizon, 64 scenarios per word; see there for which one to pick.
 ///
 /// Candidates are edited **in place** between evaluations
-/// ([`Script::set_move`] mutate/undo); the harness never clones a script.
+/// ([`Script::set_move`] mutate/undo); the harness itself never clones a
+/// script. Annealing's per-restart score table does: it keeps one clone
+/// per executed sweep (a table miss), never one per candidate.
 pub struct Objective<'a, P: SyncProtocol, R> {
     protocol: &'a P,
     raw: R,

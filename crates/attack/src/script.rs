@@ -127,7 +127,7 @@ impl MoveSpace {
 /// assert_eq!(script.index_at(5), 1); // 2, 4, … wrap onto the cycle
 /// # Ok::<(), sc_protocol::ParamError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Script {
     n: usize,
     fault_set: Vec<usize>,

@@ -10,12 +10,13 @@
 //! results are bitwise independent of the thread count — and fans restarts
 //! out on the persistent `sc-exec` pool behind the `parallel` feature.
 //!
-//! Budgets are counted in sweep evaluations ([`Objective::evaluate`]
-//! calls); a strategy stops mid-pass when its slice is spent, so a
-//! [`SearchConfig::budget`] bounds the work (budgets smaller than the
-//! restart count shrink the restart pool instead of overrunning; every
-//! strategy performs at least one evaluation, so a zero budget still
-//! costs one sweep per strategy invoked).
+//! Budgets are counted in candidate scores; anneal answers a repeated
+//! candidate from its restart's table, every other strategy sweeps each
+//! candidate ([`Objective::evaluate`]). A strategy stops mid-pass when its
+//! slice is spent, so a [`SearchConfig::budget`] bounds the work (budgets
+//! smaller than the restart count shrink the restart pool instead of
+//! overrunning; every strategy scores at least one candidate, so a zero
+//! budget still costs one sweep per strategy invoked).
 //!
 //! A search may also carry a **goal**: with [`SearchConfig::target`] set,
 //! a task stops at the first evaluated script scoring `>= target`, and the
@@ -24,6 +25,8 @@
 //! serial path never runs them; the pool path discards them). A reject-only
 //! caller such as the synthesis pre-filter needs exactly one witness, not
 //! the strongest one the budget can buy.
+
+use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +48,7 @@ pub struct SearchConfig {
     pub space: MoveSpace,
     /// Master seed; every sampled script and mutation derives from it.
     pub seed: u64,
-    /// Total sweep-evaluation budget of the run.
+    /// Total candidate-score budget of the run ([`SearchReport::evaluations`]).
     pub budget: u64,
     /// Independent restarts (hill-climb) / workers (random search).
     pub restarts: usize,
@@ -92,8 +95,23 @@ pub struct SearchReport {
     pub best: Script,
     /// Its sweep delay.
     pub delay: Delay,
-    /// Sweep evaluations spent.
+    /// Candidate scores spent — what [`SearchConfig::budget`] counts,
+    /// whether a score came from a sweep or from anneal's table.
     pub evaluations: u64,
+    /// Sweeps actually executed ([`Objective::evaluate`] calls), at most
+    /// `evaluations`: anneal's repeated candidates cost none, every other
+    /// strategy sweeps each candidate (`sweeps == evaluations`).
+    pub sweeps: u64,
+}
+
+/// A report for a strategy that swept every candidate it scored.
+fn swept(best: Script, delay: Delay, evaluations: u64) -> SearchReport {
+    SearchReport {
+        best,
+        delay,
+        evaluations,
+        sweeps: evaluations,
+    }
 }
 
 /// Derives a task-local generator: restarts are independent of scheduling.
@@ -124,7 +142,7 @@ fn random_slice<P, R>(
     cfg: &SearchConfig,
     task: u64,
     slice: u64,
-) -> (Script, Delay, u64)
+) -> SearchReport
 where
     P: Fingerprint,
     R: RawState<P::State>,
@@ -158,7 +176,7 @@ where
             best_script = candidate;
         }
     }
-    (best_script, best, used)
+    swept(best_script, best, used)
 }
 
 /// One hill-climb restart: start from a random script and greedily mutate
@@ -170,7 +188,7 @@ fn climb_restart<P, R>(
     cfg: &SearchConfig,
     task: u64,
     slice: u64,
-) -> (Script, Delay, u64)
+) -> SearchReport
 where
     P: Fingerprint,
     R: RawState<P::State>,
@@ -217,7 +235,7 @@ where
             break;
         }
     }
-    (script, best, used)
+    swept(script, best, used)
 }
 
 /// Copies faulty sender `g`'s whole row (its moves toward every receiver)
@@ -306,6 +324,46 @@ enum Undo {
     },
 }
 
+/// Score-table capacity of one annealing restart. Repeats cluster in time
+/// (an edit that changes nothing, a rejected candidate recreated a few
+/// steps later), so when the table fills it is dropped wholesale rather
+/// than tracking recency per entry; a dropped script is simply swept
+/// again, at the same score.
+const MAX_SCORED_SCRIPTS: usize = 1024;
+
+/// One annealing restart's memo of the scripts it has swept.
+/// [`Objective::evaluate`] is a pure function of the script (the sweep's
+/// initial configurations, horizon, fault set and engine are fixed), so a
+/// repeated candidate is answered with its stored [`Delay`]: the walk —
+/// acceptance, cooling, RNG draws — is exactly the one that re-sweeps it.
+/// Lives and dies with its restart, so no two searches share scores.
+#[derive(Default)]
+struct ScoreTable {
+    scores: HashMap<Script, Delay>,
+    /// Sweeps executed: the table's misses.
+    sweeps: u64,
+}
+
+impl ScoreTable {
+    /// `script`'s delay: looked up, or swept and remembered.
+    fn score<P, R>(&mut self, obj: &mut Objective<'_, P, R>, script: &Script) -> Delay
+    where
+        P: Fingerprint,
+        R: RawState<P::State>,
+    {
+        if let Some(&delay) = self.scores.get(script) {
+            return delay;
+        }
+        let delay = obj.evaluate(script);
+        self.sweeps += 1;
+        if self.scores.len() >= MAX_SCORED_SCRIPTS {
+            self.scores.clear();
+        }
+        self.scores.insert(script.clone(), delay);
+        delay
+    }
+}
+
 /// One annealing restart: a random walk over **structured** edits — point
 /// mutations, whole-row copies, round swaps, and prefix crossover with the
 /// restart's best-so-far script — accepting strict improvements always and
@@ -313,12 +371,18 @@ enum Undo {
 /// Structured edits move many coordinates at once, so they escape the
 /// single-move local optima [`climb_restart`] gets stuck in; the downhill
 /// acceptance keeps the walk from re-converging to them.
+///
+/// Many edits leave the script unchanged (a point mutation drawing the move
+/// already there, a row copy between agreeing rows, a crossover right after
+/// `best` was set to `current`) or recreate a candidate rejected earlier;
+/// every candidate still counts against the slice, but only the first
+/// occurrence of a script is swept ([`ScoreTable`]).
 fn anneal_restart<P, R>(
     obj: &mut Objective<'_, P, R>,
     cfg: &SearchConfig,
     task: u64,
     slice: u64,
-) -> (Script, Delay, u64)
+) -> SearchReport
 where
     P: Fingerprint,
     R: RawState<P::State>,
@@ -336,7 +400,8 @@ where
         &cfg.space,
         &mut rng,
     );
-    let mut current_delay = obj.evaluate(&current);
+    let mut table = ScoreTable::default();
+    let mut current_delay = table.score(obj, &current);
     let mut best = current.clone();
     let mut best_delay = current_delay;
     let mut used = 1u64;
@@ -381,7 +446,7 @@ where
                 Undo::Prefix { k, prev }
             }
         };
-        let delay = obj.evaluate(&current);
+        let delay = table.score(obj, &current);
         used += 1;
         // Cooling: downhill acceptance decays from ~0.2 to 0 over the
         // slice. The delay order is lexicographic (not numeric), so the
@@ -405,33 +470,31 @@ where
             }
         }
     }
-    (best, best_delay, used)
+    SearchReport {
+        best,
+        delay: best_delay,
+        evaluations: used,
+        sweeps: table.sweeps,
+    }
 }
 
-/// Folds per-task outcomes (in task order) into a report; ties keep the
-/// earliest task, so the result is scheduling-independent. The fold stops
-/// consuming at the first task that reached [`SearchConfig::target`]: fed
-/// lazily (the serial path) the later tasks never run, fed from a finished
-/// pool map they are discarded — the same report either way.
-fn fold(
-    cfg: &SearchConfig,
-    outcomes: impl IntoIterator<Item = (Script, Delay, u64)>,
-) -> SearchReport {
-    let mut outcomes = outcomes.into_iter();
-    let (best, delay, evaluations) = outcomes.next().expect("at least one search task");
-    let mut report = SearchReport {
-        best,
-        delay,
-        evaluations,
-    };
+/// Folds per-task reports (in task order) into one; ties keep the earliest
+/// task, so the result is scheduling-independent. The fold stops consuming
+/// at the first task that reached [`SearchConfig::target`]: fed lazily
+/// (the serial path) the later tasks never run, fed from a finished pool
+/// map they are discarded — the same report either way.
+fn fold(cfg: &SearchConfig, tasks: impl IntoIterator<Item = SearchReport>) -> SearchReport {
+    let mut tasks = tasks.into_iter();
+    let mut report = tasks.next().expect("at least one search task");
     while !cfg.reached(report.delay) {
-        let Some((script, delay, used)) = outcomes.next() else {
+        let Some(task) = tasks.next() else {
             break;
         };
-        report.evaluations += used;
-        if delay > report.delay {
-            report.delay = delay;
-            report.best = script;
+        report.evaluations += task.evaluations;
+        report.sweeps += task.sweeps;
+        if task.delay > report.delay {
+            report.delay = task.delay;
+            report.best = task.best;
         }
     }
     report
@@ -455,7 +518,7 @@ where
     P: Fingerprint + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
-    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> (Script, Delay, u64) + Sync,
+    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> SearchReport + Sync,
 {
     let threads = cfg.threads.clamp(1, tasks.max(1) as usize);
     if threads == 1 {
@@ -489,7 +552,7 @@ fn fan_out<P, R, W>(
 where
     P: Fingerprint,
     R: RawState<P::State> + Clone,
-    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> (Script, Delay, u64),
+    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> SearchReport,
 {
     let mut local = obj.clone();
     fold(
@@ -528,6 +591,8 @@ where
 /// restarts. Structured edits change many moves per evaluation, so this
 /// strategy only pays off on cheap evaluations — attach the bit-sliced
 /// path ([`Objective::attach_sliced`]) before spending a serious budget.
+/// Each restart sweeps a script only the first time it meets it, so
+/// [`SearchReport::sweeps`] is usually well below `evaluations`.
 pub fn anneal<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
     P: Fingerprint + Sync,
@@ -561,11 +626,7 @@ where
         let delay = obj.evaluate(&script);
         used += 1;
         if cfg.reached(delay) {
-            return SearchReport {
-                best: script,
-                delay,
-                evaluations: used,
-            };
+            return swept(script, delay, used);
         }
         beam.push((script, delay));
     }
@@ -581,11 +642,7 @@ where
                 let delay = obj.evaluate(&extended);
                 used += 1;
                 if cfg.reached(delay) {
-                    return SearchReport {
-                        best: extended,
-                        delay,
-                        evaluations: used,
-                    };
+                    return swept(extended, delay, used);
                 }
                 candidates.push((extended, delay));
             }
@@ -603,11 +660,7 @@ where
         .into_iter()
         .reduce(|acc, item| if item.1 > acc.1 { item } else { acc })
         .expect("beam holds at least one script");
-    SearchReport {
-        best,
-        delay,
-        evaluations: used,
-    }
+    swept(best, delay, used)
 }
 
 /// The combined search: splits the budget over random restarts, beam
@@ -630,26 +683,15 @@ where
     let mut climb_cfg = cfg.clone();
     climb_cfg.budget = cfg.budget - random_cfg.budget - beam_cfg.budget - anneal_cfg.budget;
 
-    // The four strategies are the combined search's tasks, in this order:
-    // like `fold`, stop running them once one has reached the target.
-    let mut best = random_search(obj, &random_cfg);
-    let rest: [&dyn Fn() -> SearchReport; 3] = [
+    // The four strategies are the combined search's tasks, in this order,
+    // folded lazily: none runs once an earlier one has reached the target.
+    let strategies: [&dyn Fn() -> SearchReport; 4] = [
+        &|| random_search(obj, &random_cfg),
         &|| beam_search(obj, &beam_cfg),
         &|| anneal(obj, &anneal_cfg),
         &|| hill_climb(obj, &climb_cfg),
     ];
-    for strategy in rest {
-        if cfg.reached(best.delay) {
-            break;
-        }
-        let candidate = strategy();
-        best.evaluations += candidate.evaluations;
-        if candidate.delay > best.delay {
-            best.best = candidate.best;
-            best.delay = candidate.delay;
-        }
-    }
-    best
+    fold(cfg, strategies.into_iter().map(|strategy| strategy()))
 }
 
 /// One point of a bound-tightness profile: the strongest attack found
@@ -809,11 +851,11 @@ mod tests {
         let mut local = obj.clone();
         let mut cfg = config(40);
         cfg.rounds = 3;
-        let (best, delay, used) = anneal_restart(&mut local, &cfg, 0, 40);
-        assert_eq!(used, 40);
+        let report = anneal_restart(&mut local, &cfg, 0, 40);
+        assert_eq!(report.evaluations, 40);
         assert_eq!(
-            local.evaluate(&best),
-            delay,
+            local.evaluate(&report.best),
+            report.delay,
             "best script re-scores identically"
         );
     }

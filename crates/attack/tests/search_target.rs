@@ -11,7 +11,11 @@
 //!   `hill_climb` task) — every link equals the un-targeted run truncated
 //!   at that evaluation;
 //! * with several restarts the report is defined in task order: a target
-//!   reached by task 0 leaves tasks 1.. out of `evaluations`.
+//!   reached by task 0 leaves tasks 1.. out of `evaluations`;
+//! * anneal's per-restart score table changes what a run costs, never what
+//!   it reports: anneal reports on A(4,1) and on A(12,3) in the
+//!   `attack-search` shape, with and without a target, are pinned from the
+//!   build before the table, while `sweeps` falls below `evaluations`.
 
 use sc_attack::search::{anneal, beam_search, hill_climb, random_search, search};
 use sc_attack::{Delay, MoveSpace, Objective, Script, SearchConfig, SearchReport};
@@ -101,6 +105,98 @@ fn target_none_reproduces_the_parent_reports_bit_for_bit() {
             script_hash(&report),
         );
         assert_eq!(got, pinned, "{name} moved with target = None");
+    }
+}
+
+/// A(12,3) with the Figure-2 fault set in the `attack-search` shape: 64
+/// scenarios of 96 rounds on the sliced engine, 4-round echo scripts.
+fn a12() -> Algorithm {
+    CounterBuilder::corollary1(1, 2)
+        .unwrap()
+        .boost(3)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+fn a12_objective(algo: &Algorithm) -> Obj<'_> {
+    let mut obj = Objective::new(algo, algo, vec![0, 1, 4], 0..64, 96).unwrap();
+    assert!(obj.attach_sliced(), "A(12,3) lowers");
+    obj
+}
+
+fn a12_config(budget: u64) -> SearchConfig {
+    let mut cfg = SearchConfig::new(4, MoveSpace::echoes(2), 1);
+    cfg.budget = budget;
+    cfg.threads = 1;
+    cfg
+}
+
+/// `(run, worst, unstable, total, evaluations, script hash)` of `anneal`
+/// runs printed by the build before anneal kept a score table; each
+/// `target` run asks for the delay of the run above it.
+const PARENT_ANNEAL_REPORTS: [(&str, u64, usize, u64, u64, u64); 6] = [
+    ("a4 restarts 1", 65, 1, 89, 160, 0x929b_9565_ff98_669c),
+    ("a4 restarts 1 target", 65, 1, 89, 36, 0x929b_9565_ff98_669c),
+    ("a4 echoes", 46, 0, 53, 120, 0x3f43_c147_6fd5_5245),
+    ("a4 echoes target", 46, 0, 53, 109, 0x3f43_c147_6fd5_5245),
+    ("a12", 25, 0, 481, 128, 0x148c_1e60_1aa8_6e20),
+    ("a12 target", 25, 0, 481, 102, 0x148c_1e60_1aa8_6e20),
+];
+
+#[test]
+fn anneal_reports_are_unchanged_by_the_score_table() {
+    let a4 = a4();
+    let a4_obj = objective(&a4);
+    let a12 = a12();
+    let a12_obj = a12_objective(&a12);
+    let mut restarts_1 = config(1);
+    restarts_1.budget = 160;
+    let mut echoes = config(3);
+    echoes.space = MoveSpace::echoes(2);
+    echoes.seed = 11;
+    echoes.budget = 120;
+    let runs = [
+        (&a4_obj, restarts_1),
+        (&a4_obj, echoes),
+        (&a12_obj, a12_config(128)),
+    ];
+    for ((obj, mut cfg), pins) in runs.into_iter().zip(PARENT_ANNEAL_REPORTS.chunks(2)) {
+        for &(name, worst, unstable, total, evaluations, hash) in pins {
+            let delay = Delay {
+                worst,
+                unstable,
+                total,
+            };
+            cfg.target = name.ends_with("target").then_some(delay);
+            let report = anneal(obj, &cfg);
+            let got = (report.delay, report.evaluations, script_hash(&report));
+            assert_eq!(got, (delay, evaluations, hash), "{name} moved");
+            assert!(report.sweeps <= report.evaluations, "{name}");
+            if name == "a12" {
+                // The `attack-search` shape: repeats are common.
+                assert!(
+                    report.sweeps < report.evaluations,
+                    "{} sweeps for {} candidates: no repeat was answered from the table",
+                    report.sweeps,
+                    report.evaluations
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn strategies_without_a_table_sweep_every_candidate() {
+    let a4 = a4();
+    let obj = objective(&a4);
+    for (name, strategy) in [
+        ("random_search", random_search as Strategy<'_>),
+        ("hill_climb", hill_climb),
+        ("beam_search", beam_search),
+    ] {
+        let report = strategy(&obj, &config(2));
+        assert_eq!(report.sweeps, report.evaluations, "{name}");
     }
 }
 

@@ -6,7 +6,8 @@
 //!   and evaluation count at those caps — and so do `random_search`,
 //!   `hill_climb` and `anneal` with a `SearchConfig::target`, whichever
 //!   task reaches it (the report is defined in task order, so the tasks a
-//!   serial run never starts must not leak in from the pool);
+//!   serial run never starts must not leak in from the pool), down to the
+//!   sweeps anneal's per-restart score tables let it skip;
 //! * a `sweep_family` campaign with the attack pre-filter produces an
 //!   identical checkpoint — ledger, survivors, finds — and identical
 //!   filter audit counters on explicit 1-, 2- and 7-thread pools,
@@ -102,6 +103,7 @@ proptest! {
                     prop_assert_eq!(&one.best, &many.best, "{} cap {}", name, threads);
                     prop_assert_eq!(one.delay, many.delay, "{} cap {}", name, threads);
                     prop_assert_eq!(one.evaluations, many.evaluations, "{} cap {}", name, threads);
+                    prop_assert_eq!(one.sweeps, many.sweeps, "{} cap {}", name, threads);
                 }
             }
         }

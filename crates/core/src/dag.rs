@@ -654,10 +654,20 @@ impl Builder {
                 w: self.widths[r.0 as usize],
             });
         }
-        Program {
+        let program = Program {
             ops,
             arena_planes: arena,
-        }
+        };
+        // Nodes are emitted in creation order, which is topological, and
+        // each writes its whole range (slices alias a written range), so
+        // every plane is written before it is read — what lets
+        // `Program::exec` skip zeroing its arena.
+        debug_assert_eq!(
+            program.unwritten_read(),
+            None,
+            "a finalized op reads a scratch plane no earlier op wrote"
+        );
+        program
     }
 }
 

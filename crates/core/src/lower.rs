@@ -891,6 +891,59 @@ mod tests {
     }
 
     #[test]
+    fn figure2_programs_write_every_plane_before_reading_it() {
+        // The Figure-2 stacks with their fault sets, lowered under every
+        // kind of face a strategy can show (honest echo, replay ring,
+        // per-lane and lane-uniform packed bundles, gather tables): `exec`
+        // reuses its arena unzeroed, which is sound only if no op reads a
+        // plane an earlier op has not written.
+        for (algo, faulty) in [
+            (a4(), vec![1]),
+            (a12(), vec![0, 1, 4]),
+            (a36(), vec![0, 1, 2, 3, 4, 12, 24]),
+        ] {
+            let n = algo.n();
+            let faulty: Vec<NodeId> = faulty.into_iter().map(NodeId::new).collect();
+            let honest: Vec<u32> = (0..n as u32)
+                .filter(|&v| !faulty.contains(&NodeId::new(v as usize)))
+                .collect();
+            let mut model = algo.sliced_model(&faulty).expect("stack should lower");
+            let mut uniform = BitVec::new();
+            algo.encode_state(
+                NodeId::new(0),
+                &algo.random_state(NodeId::new(0), &mut SmallRng::seed_from_u64(5)),
+                &mut uniform,
+            );
+            model.extend_bundle(0, &mut uniform);
+            model.register_packed(0, None);
+            model.register_packed(1, Some(&uniform));
+            let sources: [fn(u32, usize) -> FaceRef; 4] = [
+                |d, _| FaceRef::Honest(d),
+                |d, _| FaceRef::Ring { lag: 1, donor: d },
+                |_, v| FaceRef::Packed((v % 2) as u16),
+                |_, v| FaceRef::Gather((v % 3) as u8),
+            ];
+            let mut mixed = RoundFaces::new(faulty.len(), n);
+            for (pattern, source) in sources.iter().enumerate() {
+                let mut faces = RoundFaces::new(faulty.len(), n);
+                for g in 0..faulty.len() {
+                    for v in 0..n {
+                        let donor = honest[(g + v) % honest.len()];
+                        faces.set_face(g, n, v, source(donor, v));
+                        if (g + v) % sources.len() == pattern {
+                            mixed.set_face(g, n, v, source(donor, v));
+                        }
+                    }
+                }
+                let program = model.round_program(&faces);
+                assert_eq!(program.unwritten_read(), None, "n = {n}, pattern {pattern}");
+            }
+            let program = model.round_program(&mixed);
+            assert_eq!(program.unwritten_read(), None, "n = {n}, mixed faces");
+        }
+    }
+
+    #[test]
     fn unsupported_structures_fall_back_to_none() {
         // k = 5 gives m = 3: leader pointers are no longer single bits.
         let inner = Algorithm::trivial(9 * 6u64.pow(5) * 4).unwrap();

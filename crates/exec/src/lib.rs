@@ -83,9 +83,11 @@ where
     pool().map(len, cap, task)
 }
 
-/// Lifetime pool introspection counters. All updates are relaxed atomics:
-/// the hot claim path pays exactly one extra `fetch_add`, everything else
-/// is per-batch or per-panic (cold).
+/// Lifetime pool introspection counters. All updates are relaxed atomics
+/// — the hot claim path pays exactly one extra `fetch_add`, everything
+/// else is per-batch or per-panic (cold) — except `panicked`, which is
+/// bumped with Release after the batch's abort flag is set and read with
+/// Acquire, so observing a panic implies observing the abort.
 #[derive(Default)]
 struct StatCells {
     batches: AtomicU64,
@@ -196,8 +198,10 @@ where
                     None
                 }
                 Err(payload) => {
+                    // Release: whoever reads the panic count with Acquire
+                    // (`Pool::stats`) also sees this batch's abort flag.
                     core.aborted.store(true, Ordering::Relaxed);
-                    core.stats.panicked.fetch_add(1, Ordering::Relaxed);
+                    core.stats.panicked.fetch_add(1, Ordering::Release);
                     Some(payload)
                 }
             }
@@ -260,15 +264,18 @@ impl Pool {
         self.workers
     }
 
-    /// A snapshot of the pool's lifetime counters. Lock-free reads of
-    /// relaxed atomics — safe to poll from a metrics thread at any rate.
+    /// A snapshot of the pool's lifetime counters. Lock-free atomic reads
+    /// — safe to poll from a metrics thread at any rate. A thread that
+    /// sees a panic counted in `panicked` also sees the abort flag of the
+    /// batch that panicked: any index of that batch it claims afterwards
+    /// is drained without running.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             workers: self.workers,
             batches: self.stats.batches.load(Ordering::Relaxed),
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             claimed: self.stats.claimed.load(Ordering::Relaxed),
-            panicked: self.stats.panicked.load(Ordering::Relaxed),
+            panicked: self.stats.panicked.load(Ordering::Acquire),
             busy_ns: self.stats.busy_ns.load(Ordering::Relaxed),
         }
     }

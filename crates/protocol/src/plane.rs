@@ -388,18 +388,84 @@ pub struct Program {
     pub arena_planes: u32,
 }
 
+impl Op {
+    /// The scratch-arena plane ranges `(first plane, planes)` this op reads
+    /// (unused slots are empty) and the one it writes ([`Op::Store`] writes
+    /// the next-state arena instead: empty).
+    fn scratch_planes(&self) -> ([(u32, u16); 3], (u32, u16)) {
+        const NONE: (u32, u16) = (0, 0);
+        match *self {
+            Op::Load { dst, w, .. } | Op::Const { dst, w, .. } => ([NONE; 3], (dst, w)),
+            Op::Not { dst, a, w } | Op::Copy { dst, a, w } => ([(a, w), NONE, NONE], (dst, w)),
+            Op::And { dst, a, b, w } | Op::Or { dst, a, b, w } | Op::Xor { dst, a, b, w } => {
+                ([(a, w), (b, w), NONE], (dst, w))
+            }
+            Op::Mux { dst, c, a, b, w } => ([(c, 1), (a, w), (b, w)], (dst, w)),
+            Op::Eq { dst, a, aw, b, bw } | Op::Lt { dst, a, aw, b, bw } => {
+                ([(a, aw), (b, bw), NONE], (dst, 1))
+            }
+            Op::Add {
+                dst,
+                a,
+                aw,
+                b,
+                bw,
+                w,
+            }
+            | Op::Sub {
+                dst,
+                a,
+                aw,
+                b,
+                bw,
+                w,
+            } => ([(a, aw), (b, bw), NONE], (dst, w)),
+            Op::Store { src, w, .. } => ([(src, w), NONE, NONE], NONE),
+        }
+    }
+}
+
 impl Program {
+    /// The index of the first op that reads a scratch plane no earlier op
+    /// wrote, if any — the write-before-read contract that lets
+    /// [`Program::exec`] reuse its arena without zeroing it. Every program
+    /// the SSA lowering emits satisfies it (`None`).
+    pub fn unwritten_read(&self) -> Option<usize> {
+        let mut written = vec![false; self.arena_planes as usize];
+        for (index, op) in self.ops.iter().enumerate() {
+            let (reads, (dst, w)) = op.scratch_planes();
+            let unwritten = reads.iter().any(|&(at, w)| {
+                (at..at + u32::from(w)).any(|p| written.get(p as usize) != Some(&true))
+            });
+            if unwritten {
+                return Some(index);
+            }
+            for p in dst..dst + u32::from(w) {
+                if let Some(plane) = written.get_mut(p as usize) {
+                    *plane = true;
+                }
+            }
+        }
+        None
+    }
+
     /// Runs the program: reads `spaces`, writes stored fields into `next`.
     ///
-    /// `scratch` is resized to the program's arena and reused across calls.
+    /// `scratch` is grown to the program's arena and reused across calls,
+    /// but never cleared or zeroed: a program writes every scratch plane
+    /// before any op reads it ([`Program::unwritten_read`] is `None` — SSA
+    /// placement guarantees it for every lowered program), so whatever a
+    /// previous round left behind is overwritten before it can be seen.
     /// Planes of `next` that no [`Op::Store`] covers are left untouched, so
     /// the engine pre-copies `cur` into `next` for carried-over planes (the
     /// lowering stores every live plane, making that copy belt-and-braces).
     pub fn exec(&self, spaces: &ExecSpaces<'_>, next: &mut PlaneBuf, scratch: &mut Vec<u64>) {
         let lw = spaces.cur.lane_words();
         debug_assert_eq!(next.lane_words(), lw);
-        scratch.clear();
-        scratch.resize(self.arena_planes as usize * lw, 0);
+        let planes = self.arena_planes as usize * lw;
+        if scratch.len() < planes {
+            scratch.resize(planes, 0);
+        }
         if lw == 1 {
             // The dominant attack-sweep shape (≤ 64 scenarios): one word
             // per plane, so the plane arithmetic collapses to direct
@@ -1199,6 +1265,82 @@ mod tests {
             assert_eq!(next.lane_bit(1, lane), lane % 3 == 0);
             assert_eq!(next.lane_bit(2, lane), lane % 5 == 0);
             assert_eq!(next.lane_bit(3, lane), lane % 7 == 0);
+        }
+    }
+
+    #[test]
+    fn unwritten_read_finds_the_first_op_reading_an_unwritten_plane() {
+        let load = Op::Load {
+            dst: 0,
+            space: Space::Cur,
+            off: 0,
+            w: 2,
+        };
+        let not = |a| Op::Not { dst: 2, a, w: 2 };
+        let store = |src| Op::Store { src, off: 0, w: 2 };
+        let program = |ops| Program {
+            ops,
+            arena_planes: 4,
+        };
+        assert_eq!(program(vec![load, not(0), store(2)]).unwritten_read(), None);
+        // Plane 2 is read before anything writes it.
+        assert_eq!(
+            program(vec![load, not(1), store(2)]).unwritten_read(),
+            Some(1)
+        );
+        assert_eq!(program(vec![load, store(2)]).unwritten_read(), Some(1));
+        // Reads past the arena are never written.
+        assert_eq!(
+            program(vec![load, not(0), store(3)]).unwritten_read(),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn exec_reuses_a_dirty_arena() {
+        // A scratch arena full of garbage from an earlier, larger program
+        // must not leak into the result: every read plane is written first.
+        let mut cur = PlaneBuf::new(4, 1);
+        for lane in 0..64 {
+            cur.set_lane_bit(1, lane, lane % 3 == 0);
+            cur.set_lane_bit(3, lane, lane % 2 == 0);
+        }
+        let prog = Program {
+            ops: vec![
+                Op::Load {
+                    dst: 0,
+                    space: Space::Cur,
+                    off: 0,
+                    w: 4,
+                },
+                Op::And {
+                    dst: 4,
+                    a: 0,
+                    b: 2,
+                    w: 2,
+                },
+                Op::Store {
+                    src: 4,
+                    off: 0,
+                    w: 2,
+                },
+            ],
+            arena_planes: 6,
+        };
+        assert_eq!(prog.unwritten_read(), None);
+        let spaces = ExecSpaces {
+            cur: &cur,
+            ring: &[],
+            packed: &[],
+            gather: &[],
+        };
+        let mut clean = PlaneBuf::new(2, 1);
+        prog.exec(&spaces, &mut clean, &mut Vec::new());
+        let mut dirty = PlaneBuf::new(2, 1);
+        prog.exec(&spaces, &mut dirty, &mut vec![u64::MAX; 64]);
+        assert_eq!(clean, dirty);
+        for lane in 0..64 {
+            assert_eq!(dirty.lane_bit(1, lane), lane % 6 == 0);
         }
     }
 

@@ -122,8 +122,9 @@ fn main() {
     let mut bits = BitVec::new();
     report.best.encode(&mut bits);
     println!(
-        "\nsearch: {} sweep evaluations in {:.2} s ({:.0} evals/s); best script = {} rounds, {} bits encoded",
+        "\nsearch: {} candidates scored ({} swept) in {:.2} s ({:.0} evals/s); best script = {} rounds, {} bits encoded",
         report.evaluations,
+        report.sweeps,
         elapsed,
         report.evaluations as f64 / elapsed,
         report.best.len(),
