@@ -29,7 +29,7 @@ use sc_sim::{Adversary, MessageSource, RoundContext, StatePool};
 use crate::algorithm::{Algorithm, CounterState};
 use crate::boosted::BoostedCounter;
 
-/// King equivocation against a [`BoostedCounter`](crate::BoostedCounter).
+/// King equivocation against a [`BoostedCounter`].
 ///
 /// Each round the faulty nodes pick two different register values and show
 /// one to even receivers, the other to odd receivers, while keeping a

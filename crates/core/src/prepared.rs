@@ -262,31 +262,42 @@ mod tests {
     use rand::SeedableRng;
     use sc_protocol::SyncProtocol as _;
 
-    /// Fault-free single-round agreement between `step` and `step_prepared`
-    /// on the A(4,1) construction from arbitrary configurations. (The full
-    /// multi-round, multi-adversary gate lives in the `engine_equivalence`
-    /// integration tests.)
+    /// Fault-free agreement between `step` and `step_prepared` on the
+    /// Figure-2 stack A(4,1) → A(12,3) → A(36,7) from arbitrary
+    /// configurations, with one preparation per algorithm refilled from
+    /// round to round rather than rebuilt — the way a runtime node keeps
+    /// it. (The full multi-round, multi-adversary gate lives in the
+    /// `engine_equivalence` integration tests.)
     #[test]
     fn prepared_step_matches_plain_step() {
-        let algo = CounterBuilder::corollary1(1, 2).unwrap().build().unwrap();
-        for seed in 0..20u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let states: Vec<CounterState> = (0..4)
-                .map(|i| algo.random_state(NodeId::new(i), &mut rng))
-                .collect();
-            let mut prep = algo.prepare_round(Broadcast::States(&states), &[]);
-            for i in 0..4 {
-                let view = MessageView::new(&states, &[]);
-                let mut rng_a = SmallRng::seed_from_u64(0);
-                let mut rng_b = SmallRng::seed_from_u64(0);
-                let plain = algo.step(NodeId::new(i), &view, &mut StepContext::new(&mut rng_a));
-                let prepared = algo.step_prepared(
-                    NodeId::new(i),
-                    &view,
-                    &mut prep,
-                    &mut StepContext::new(&mut rng_b),
-                );
-                assert_eq!(plain, prepared, "node {i} seed {seed}");
+        let a4 = CounterBuilder::corollary1(1, 2).unwrap();
+        let a12 = a4.clone().boost(3).unwrap();
+        let a36 = a12.clone().boost(3).unwrap();
+        for algo in [a4, a12, a36].map(|b| b.build().unwrap()) {
+            let n = algo.n();
+            let random_states = |seed: u64| -> Vec<CounterState> {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                (0..n)
+                    .map(|i| algo.random_state(NodeId::new(i), &mut rng))
+                    .collect()
+            };
+            let mut prep = algo.prepare_round(Broadcast::States(&random_states(99)), &[]);
+            for seed in 0..20u64 {
+                let states = random_states(seed);
+                algo.refill_round(&mut prep, Broadcast::States(&states), &[]);
+                for i in 0..n {
+                    let view = MessageView::new(&states, &[]);
+                    let mut rng_a = SmallRng::seed_from_u64(0);
+                    let mut rng_b = SmallRng::seed_from_u64(0);
+                    let plain = algo.step(NodeId::new(i), &view, &mut StepContext::new(&mut rng_a));
+                    let prepared = algo.step_prepared(
+                        NodeId::new(i),
+                        &view,
+                        &mut prep,
+                        &mut StepContext::new(&mut rng_b),
+                    );
+                    assert_eq!(plain, prepared, "n = {n}, node {i}, seed {seed}");
+                }
             }
         }
     }

@@ -241,7 +241,11 @@ impl<'a> BitReader<'a> {
         self.bits.len() - self.pos
     }
 
-    /// Reads `width` bits, most significant first.
+    /// Reads `width` bits, most significant first. Consumes nothing unless
+    /// the whole field is there.
+    ///
+    /// Word-level, mirroring [`BitVec::push_bits`]: a field is read from at
+    /// most two words, not bit by bit.
     ///
     /// # Errors
     ///
@@ -254,12 +258,19 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining(),
             });
         }
-        let mut value = 0u64;
-        for _ in 0..width {
-            value = (value << 1) | u64::from(self.bits.bit(self.pos));
-            self.pos += 1;
+        if width == 0 {
+            return Ok(0);
         }
-        Ok(value)
+        let words = &self.bits.words;
+        let (word, offset) = (self.pos / 64, (self.pos % 64) as u32);
+        // The field's first bit at the top; a field that straddles the
+        // word boundary takes its tail from the top of the next word.
+        let mut window = words[word] << offset;
+        if width > 64 - offset {
+            window |= words[word + 1] >> (64 - offset);
+        }
+        self.pos += width as usize;
+        Ok(window >> (64 - width))
     }
 
     /// [`read_bits`](BitReader::read_bits) for fields of up to 128 bits.

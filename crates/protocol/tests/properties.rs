@@ -1,7 +1,7 @@
 //! Property-based tests for the protocol substrate.
 
 use proptest::prelude::*;
-use sc_protocol::{bits_for, inc_mod, majority, majority_or, BitVec, Interval, Tally};
+use sc_protocol::{bits_for, inc_mod, majority, majority_or, BitVec, CodecError, Interval, Tally};
 
 proptest! {
     /// Round trip: any sequence of (value, width) fields written to a
@@ -25,6 +25,49 @@ proptest! {
             prop_assert_eq!(reader.read_bits(width).unwrap(), value);
         }
         prop_assert_eq!(reader.remaining(), 0);
+    }
+
+    /// The word-level reader equals a bit-by-bit read for every width
+    /// 0..=64 at every offset, and a short read fails without consuming.
+    #[test]
+    fn read_bits_equals_the_bit_by_bit_reader(
+        words in proptest::collection::vec(any::<u64>(), 1..4),
+        tail in 0u32..64,
+    ) {
+        let mut bits = BitVec::new();
+        for (i, &word) in words.iter().enumerate() {
+            if i + 1 < words.len() {
+                bits.push_bits(word, 64);
+            } else if tail > 0 {
+                bits.push_bits(word >> (64 - tail), tail);
+            }
+        }
+        let len = bits.len();
+        for offset in 0..=len {
+            for width in 0..=64u32 {
+                let mut reader = bits.reader();
+                let mut skipped = 0;
+                while skipped < offset {
+                    let step = (offset - skipped).min(64);
+                    reader.read_bits(step as u32).unwrap();
+                    skipped += step;
+                }
+                let end = offset + width as usize;
+                if end <= len {
+                    let expected = (offset..end)
+                        .fold(0u64, |acc, i| (acc << 1) | u64::from(bits.bit(i)));
+                    prop_assert_eq!(reader.read_bits(width).unwrap(), expected);
+                    prop_assert_eq!(reader.remaining(), len - end);
+                } else {
+                    let short = CodecError::OutOfBits {
+                        wanted: width as usize,
+                        remaining: len - offset,
+                    };
+                    prop_assert_eq!(reader.read_bits(width), Err(short));
+                    prop_assert_eq!(reader.remaining(), len - offset);
+                }
+            }
+        }
     }
 
     /// A strict majority, when it exists, occurs more than half the time;

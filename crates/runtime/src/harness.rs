@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_attack::RawState;
-use sc_protocol::Counter;
+use sc_protocol::{Counter, PreparedProtocol};
 
 use crate::clock::{RoundClock, VirtualClock};
 use crate::live::{RunReport, RuntimeConfig};
@@ -31,7 +31,7 @@ const SCHED_SALT: u64 = 0x5eed_0dd5_ca1e_d0e5;
 /// Run `config` deterministically. Same config ⇒ bit-identical report.
 pub fn run_deterministic<P>(algo: &P, config: &RuntimeConfig) -> Result<RunReport, ParamError>
 where
-    P: Counter + RawState<P::State>,
+    P: Counter + PreparedProtocol + RawState<P::State>,
 {
     run_deterministic_obs(algo, config, &RuntimeObs::default())
 }
@@ -48,7 +48,7 @@ pub fn run_deterministic_obs<P>(
     obs: &RuntimeObs,
 ) -> Result<RunReport, ParamError>
 where
-    P: Counter + RawState<P::State>,
+    P: Counter + PreparedProtocol + RawState<P::State>,
 {
     let (sched, quorum, confirm) = config.resolve(algo)?;
     let n = algo.n();
@@ -79,15 +79,19 @@ where
     let mut monitor = MonitorCore::new(quorum, algo.modulus(), confirm);
     let mut trace = Vec::with_capacity(horizon as usize);
     let read_offset_ns = sched.read_point(0) - sched.slot_start(0);
+    // Per-round scratch, reused from round to round.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut observers: Vec<usize> = Vec::new();
+    let mut late: Vec<(usize, u64, Vec<u64>, u64)> = Vec::new();
 
     for round in 0..horizon {
         clock.wait_until(sched.slot_start(round));
 
         // Phase 1: on-time publishes, seeded-shuffled node order.
-        let mut order: Vec<usize> = (0..n).filter(|&i| cores[i].is_some()).collect();
+        order.clear();
+        order.extend((0..n).filter(|&i| cores[i].is_some()));
         shuffle(&mut order, &mut sched_rng);
-        let mut observers: Vec<usize> = Vec::new();
-        let mut late: Vec<(usize, u64, Vec<u64>, u64)> = Vec::new();
+        observers.clear();
         for &id in &order {
             let core = cores[id].as_mut().expect("alive");
             let tracer = &mut tracers[id];
@@ -125,7 +129,7 @@ where
         // Phase 2: observing injectors, ascending id.
         observers.sort_unstable();
         clock.wait_until(sched.obs_point(round));
-        for id in observers {
+        for &id in &observers {
             let core = cores[id].as_mut().expect("alive");
             core.observe_for_script(&plane, round);
             core.publish_scripted(&plane, round);
@@ -152,7 +156,7 @@ where
         // Phase 5: deadline-missing publishes land last — after every
         // read and the monitor's sample, like a live straggler.
         late.sort_unstable_by_key(|&(id, delay_ns, ..)| (delay_ns, id));
-        for (id, delay_ns, payload, output) in late {
+        for (id, delay_ns, payload, output) in late.drain(..) {
             clock.wait_until(sched.slot_start(round) + delay_ns);
             NodeCore::<P>::deliver_captured(&plane, &board, id, round, &payload, output);
             tracers[id].publish_late(|| clock.now(), round, delay_ns);

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use sc_attack::RawState;
-use sc_protocol::Counter;
+use sc_protocol::{Counter, PreparedProtocol};
 
 use crate::clock::{RoundClock, RoundSchedule, WallClock};
 use crate::mailbox::{CounterHandle, MailboxPlane, OutputBoard, SnapshotCell, OUTPUT_LIMIT};
@@ -144,8 +144,9 @@ pub fn run_live<P, F, R>(
     serve: F,
 ) -> Result<(RunReport, R), ParamError>
 where
-    P: Counter + RawState<P::State> + Sync,
+    P: Counter + PreparedProtocol + RawState<P::State> + Sync,
     P::State: Send,
+    P::RoundPrep: Send,
     F: FnOnce(CounterHandle<'_>) -> R,
 {
     run_live_obs(algo, config, &RuntimeObs::default(), serve)
@@ -162,8 +163,9 @@ pub fn run_live_obs<P, F, R>(
     serve: F,
 ) -> Result<(RunReport, R), ParamError>
 where
-    P: Counter + RawState<P::State> + Sync,
+    P: Counter + PreparedProtocol + RawState<P::State> + Sync,
     P::State: Send,
+    P::RoundPrep: Send,
     F: FnOnce(CounterHandle<'_>) -> R,
 {
     let (sched, quorum, confirm) = config.resolve(algo)?;
@@ -264,7 +266,7 @@ fn run_node_thread<P>(
     horizon: u64,
     mut tracer: NodeTrace,
 ) where
-    P: Counter + RawState<P::State>,
+    P: Counter + PreparedProtocol + RawState<P::State>,
 {
     let mut round = 0u64;
     while round < horizon {

@@ -10,13 +10,21 @@
 //! except `Crash` keeps reading and stepping honestly underneath, so a
 //! node whose misbehaviour window closes rejoins the protocol with a
 //! plausible state and the run recovers naturally.
+//!
+//! A node steps at the kernel's cost: it keeps its own one-receiver
+//! round preparation ([`PreparedProtocol`]), refilled from `last_seen`
+//! at every read, so the shared tallies are computed once per read and
+//! the prepared step returns exactly what the plain step would. Encode
+//! and decode scratch, the inbox, the donor list of a scripted injector
+//! and its ring are all built once, so a warm round allocates nothing
+//! (`tests/zero_alloc.rs`).
 
 use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sc_attack::{Move, RawState, Script};
-use sc_protocol::{BitVec, Counter, MessageView, NodeId, StepContext};
+use sc_attack::{Move, RawState};
+use sc_protocol::{BitVec, Broadcast, Counter, MessageView, NodeId, PreparedProtocol, StepContext};
 
 use crate::mailbox::{MailboxPlane, OutputBoard};
 use crate::plan::{FaultEntry, FaultKind};
@@ -58,7 +66,7 @@ pub fn initial_states<P: Counter>(algo: &P, run_seed: u64) -> Vec<P::State> {
 }
 
 /// One node's state machine, driver-agnostic.
-pub struct NodeCore<'p, P: Counter> {
+pub struct NodeCore<'p, P: Counter + PreparedProtocol> {
     algo: &'p P,
     id: usize,
     n: usize,
@@ -66,6 +74,9 @@ pub struct NodeCore<'p, P: Counter> {
     /// Most recent state successfully observed from each sender (own
     /// entry mirrors `state`); the miss fallback.
     last_seen: Vec<P::State>,
+    /// The one-receiver round preparation over `last_seen`, refilled in
+    /// place at every read.
+    prep: P::RoundPrep,
     /// Messages missed per round-read, cumulative.
     missed: u64,
     rng: SmallRng,
@@ -76,12 +87,34 @@ pub struct NodeCore<'p, P: Counter> {
     retain: usize,
     /// Index of this node within the script's fault set.
     script_g: usize,
-    /// Scratch for encode/publish.
+    /// For `Scripted`: the nodes outside the script's fault set,
+    /// ascending — the donors a salt rotates over.
+    donors: Vec<usize>,
+    /// Codec scratch, shared by encode and decode.
     bits: BitVec,
+    /// Outgoing message words.
     payload: Vec<u64>,
+    /// Incoming message words.
+    inbox: Vec<u64>,
 }
 
-impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
+/// Encodes `state` into `payload` through the `bits` scratch.
+fn encode<P: Counter>(
+    algo: &P,
+    id: usize,
+    state: &P::State,
+    bits: &mut BitVec,
+    payload: &mut [u64],
+) {
+    bits.clear();
+    algo.encode_state(NodeId::new(id), state, bits);
+    payload.fill(0);
+    for (dst, &src) in payload.iter_mut().zip(bits.words()) {
+        *dst = src;
+    }
+}
+
+impl<'p, P: Counter + PreparedProtocol + RawState<P::State>> NodeCore<'p, P> {
     pub fn new(
         algo: &'p P,
         id: usize,
@@ -91,27 +124,31 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
     ) -> NodeCore<'p, P> {
         let n = algo.n();
         let words = (algo.state_bits() as usize).div_ceil(64).max(1);
-        let (retain, script_g) = match &fault {
+        let (retain, script_g, donors) = match &fault {
             Some(FaultEntry {
                 kind: FaultKind::Scripted(script),
                 node,
                 ..
             }) => {
                 let max_lag = script.max_lag();
-                let g = script
-                    .fault_set()
+                let fault_set = script.fault_set();
+                let g = fault_set
                     .iter()
                     .position(|&s| s == *node)
                     .expect("validated by FaultPlan");
-                (if max_lag == 0 { 0 } else { max_lag + 1 }, g)
+                let donors = (0..n).filter(|i| !fault_set.contains(i)).collect();
+                (if max_lag == 0 { 0 } else { max_lag + 1 }, g, donors)
             }
-            _ => (0, 0),
+            _ => (0, 0, Vec::new()),
         };
+        let last_seen = vec![initial.clone(); n];
+        let prep = algo.prepare_round(Broadcast::States(&last_seen), &[]);
         NodeCore {
             algo,
             id,
             n,
-            last_seen: vec![initial.clone(); n],
+            last_seen,
+            prep,
             state: initial,
             missed: 0,
             rng: SmallRng::seed_from_u64(node_seed(run_seed, id)),
@@ -119,8 +156,10 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
             ring: VecDeque::new(),
             retain,
             script_g,
+            donors,
             bits: BitVec::new(),
             payload: vec![0; words],
+            inbox: vec![0; words],
         }
     }
 
@@ -166,21 +205,21 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
         }
     }
 
-    fn encode_into_payload(&mut self, state: &P::State) {
-        self.bits.clear();
-        self.algo
-            .encode_state(NodeId::new(self.id), state, &mut self.bits);
-        self.payload.fill(0);
-        for (dst, &src) in self.payload.iter_mut().zip(self.bits.words()) {
-            *dst = src;
-        }
+    /// Encodes this node's own state into `payload`.
+    fn encode_own_state(&mut self) {
+        encode(
+            self.algo,
+            self.id,
+            &self.state,
+            &mut self.bits,
+            &mut self.payload,
+        );
     }
 
     /// Honest publish: same state to every receiver, output posted to
     /// the board tagged `round`.
     pub fn publish_honest(&mut self, plane: &MailboxPlane, board: &OutputBoard, round: u64) {
-        let state = self.state.clone();
-        self.encode_into_payload(&state);
+        self.encode_own_state();
         for to in 0..self.n {
             plane.slot(self.id, to).publish(round, &self.payload);
         }
@@ -193,8 +232,7 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
     /// the round's reads while the content still reflects the
     /// beginning-of-round state.
     pub fn capture_publish(&mut self) -> (Vec<u64>, u64) {
-        let state = self.state.clone();
-        self.encode_into_payload(&state);
+        self.encode_own_state();
         (self.payload.clone(), self.output())
     }
 
@@ -217,8 +255,7 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
     /// slot is left torn (sequence odd, as if the thread died inside
     /// `publish`), the rest never hear from this node again.
     pub fn publish_crash(&mut self, plane: &MailboxPlane, round: u64) {
-        let state = self.state.clone();
-        self.encode_into_payload(&state);
+        self.encode_own_state();
         let half = self.n / 2;
         for to in 0..half {
             plane.slot(self.id, to).publish(round, &self.payload);
@@ -237,7 +274,7 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
             let face = self
                 .algo
                 .raw_state(NodeId::new(self.id), base + (to % 2) as u8);
-            self.encode_into_payload(&face);
+            encode(self.algo, self.id, &face, &mut self.bits, &mut self.payload);
             plane.slot(self.id, to).publish(round, &self.payload);
         }
     }
@@ -265,80 +302,68 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
     /// Scripted publish: per receiver, resolve the script's move against
     /// the donor ring exactly as `ScriptedAdversary` does.
     pub fn publish_scripted(&mut self, plane: &MailboxPlane, round: u64) {
-        let entry = self.fault.clone();
-        let Some(FaultEntry {
-            kind: FaultKind::Scripted(script),
-            ..
-        }) = &entry
-        else {
-            unreachable!("publish_scripted on a non-scripted node");
-        };
         // If max_lag == 0 no ring is kept; echo moves still need the
         // current round's states.
         if self.retain == 0 {
             self.observe_round(plane, round);
         }
+        let Some(FaultEntry {
+            kind: FaultKind::Scripted(script),
+            ..
+        }) = &self.fault
+        else {
+            unreachable!("publish_scripted on a non-scripted node");
+        };
+        let (ring, last_seen) = (&self.ring, &self.last_seen);
+        // The `salt`-th donor's state as of `depth` rounds ago (0 = the
+        // current round, which the ring's back holds when a ring is
+        // kept, and `last_seen` otherwise). Donor rotation mirrors
+        // `sc_sim::adversaries::donor_id`.
+        let donor_state = |depth: usize, salt: u8| -> &P::State {
+            let donor = self.donors[salt as usize % self.donors.len().max(1)];
+            match ring.back() {
+                None => &last_seen[donor],
+                Some(current) if depth == 0 => &current[donor],
+                Some(_) => &ring[ring.len() - 1 - depth][donor],
+            }
+        };
         for to in 0..self.n {
-            let state = self.resolve_move(script, round, to);
-            self.encode_into_payload(&state);
+            let raw;
+            let state = match script.move_at(round, self.script_g, to) {
+                Move::Echo(salt) => donor_state(0, salt),
+                Move::Raw(value) => {
+                    raw = self.algo.raw_state(NodeId::new(self.id), value);
+                    &raw
+                }
+                Move::Stale { lag, salt } => {
+                    donor_state((lag as usize).min(ring.len().saturating_sub(1)), salt)
+                }
+            };
+            encode(self.algo, self.id, state, &mut self.bits, &mut self.payload);
             plane.slot(self.id, to).publish(round, &self.payload);
-        }
-    }
-
-    fn resolve_move(&self, script: &Script, round: u64, to: usize) -> P::State {
-        match script.move_at(round, self.script_g, to) {
-            Move::Echo(salt) => self.donor_state(script, 0, salt),
-            Move::Raw(value) => self.algo.raw_state(NodeId::new(self.id), value),
-            Move::Stale { lag, salt } => {
-                let depth = (lag as usize).min(self.ring.len().saturating_sub(1));
-                self.donor_state(script, depth, salt)
-            }
-        }
-    }
-
-    /// The `salt`-th honest node's state as of `depth` rounds ago (0 =
-    /// current round), read from the donor ring / current observations.
-    /// Honest set and rotation mirror `sc_sim::adversaries::donor_id`.
-    fn donor_state(&self, script: &Script, depth: usize, salt: u8) -> P::State {
-        let honest: Vec<usize> = (0..self.n)
-            .filter(|i| !script.fault_set().contains(i))
-            .collect();
-        let donor = honest[salt as usize % honest.len().max(1)];
-        if depth == 0 || self.ring.is_empty() {
-            // Current round: ring back holds it when a ring is kept,
-            // otherwise `last_seen` was just refreshed by the caller.
-            match self.ring.back() {
-                Some(current) => current[donor].clone(),
-                None => self.last_seen[donor].clone(),
-            }
-        } else {
-            self.ring[self.ring.len() - 1 - depth][donor].clone()
         }
     }
 
     /// Observe every sender's round-`round` slot addressed to this node,
     /// updating `last_seen` (misses keep the previous entry and count).
     fn observe_round(&mut self, plane: &MailboxPlane, round: u64) {
-        let mut buf = vec![0u64; plane.words_per_msg()];
         for s in 0..self.n {
             if s == self.id {
                 continue;
             }
-            if plane.slot(s, self.id).observe(round, &mut buf) {
+            if plane.slot(s, self.id).observe(round, &mut self.inbox) {
                 self.bits.clear();
-                for &word in &buf {
+                for &word in &self.inbox {
                     self.bits.push_bits(word, 64);
                 }
-                let mut reader = self.bits.reader();
-                match self.algo.decode_state(NodeId::new(s), &mut reader) {
-                    Ok(state) => {
-                        self.last_seen[s] = state;
-                        continue;
-                    }
-                    Err(_) => {
-                        // Undecodable garbage == no message (charged to
-                        // the sender, exactly like a torn slot).
-                    }
+                // Undecodable garbage == no message (charged to the
+                // sender, exactly like a torn slot).
+                if let Ok(state) = self
+                    .algo
+                    .decode_state(NodeId::new(s), &mut self.bits.reader())
+                {
+                    self.last_seen[s] = state;
+                    continue;
                 }
             }
             self.missed += 1;
@@ -346,13 +371,17 @@ impl<'p, P: Counter + RawState<P::State>> NodeCore<'p, P> {
         self.last_seen[self.id] = self.state.clone();
     }
 
-    /// Read phase + state transition: observe everyone, build the view
-    /// from `last_seen` (misses already degraded), and step.
+    /// Read phase + state transition: observe everyone, refill the
+    /// preparation from `last_seen` (misses already degraded), and step
+    /// through it — bitwise the plain `step` on the same view.
     pub fn read_and_step(&mut self, plane: &MailboxPlane, round: u64) {
         self.observe_round(plane, round);
-        let refs: Vec<&P::State> = self.last_seen.iter().collect();
-        let view = MessageView::from_refs(&refs, &[]);
+        let received = Broadcast::States(&self.last_seen);
+        self.algo.refill_round(&mut self.prep, received, &[]);
+        let view = MessageView::new(&self.last_seen, &[]);
         let mut ctx = StepContext::new(&mut self.rng);
-        self.state = self.algo.step(NodeId::new(self.id), &view, &mut ctx);
+        self.state = self
+            .algo
+            .step_prepared(NodeId::new(self.id), &view, &mut self.prep, &mut ctx);
     }
 }

@@ -1,8 +1,10 @@
 //! Deterministic-harness suite: the CI face of every live scenario.
 //! Fault-free and scripted runs are cross-checked state-for-state
 //! against the `sc-sim` reference engine; every injector kind runs a
-//! windowed disruption burst and must re-stabilise; and identical
-//! configs must reproduce bit-identical reports.
+//! windowed disruption burst and must re-stabilise; identical configs
+//! must reproduce bit-identical reports; and the four-injector plan's
+//! reports stay equal to the pins recorded before the node stepped
+//! through its round preparation.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -251,6 +253,91 @@ fn identical_configs_reproduce_bit_identically() {
         assert_eq!(a.missed, b.missed);
         assert_eq!(a.events.len(), b.events.len());
     }
+}
+
+/// The `runtime-replay` benchmark's plan: Delayed, Crash, Scripted and
+/// Equivocate bursts on A(4,1) around a seeded echo script for node 2.
+fn four_injector_plan(script_seed: u64) -> FaultPlan {
+    let mut rng = SmallRng::seed_from_u64(script_seed);
+    let script = Script::random(4, vec![2], 4, 0, &MoveSpace::echoes(2), &mut rng);
+    let entry = |node, from_round, until_round, kind| FaultEntry {
+        node,
+        from_round,
+        until_round,
+        kind,
+    };
+    FaultPlan::new(
+        4,
+        vec![
+            entry(
+                0,
+                10,
+                Some(18),
+                FaultKind::Delayed {
+                    jitter_permille: 1500,
+                },
+            ),
+            entry(1, 14, None, FaultKind::Crash),
+            entry(2, 40, Some(48), FaultKind::Scripted(script)),
+            entry(3, 44, Some(52), FaultKind::Equivocate),
+        ],
+    )
+    .expect("the four-injector plan is well-formed")
+}
+
+#[test]
+fn four_injector_reports_match_their_pins() {
+    let algo = a41();
+    // (script seed, run seed, digest, missed, first stable round). The
+    // first row is the benchmark's anchor run.
+    let pins = [
+        (
+            0x11fe,
+            0xbead,
+            0x5efd_a55f_9347_2d61,
+            [65, 3, 80, 72],
+            Some(0),
+        ),
+        (0x11fe, 0x1, 0x8da9_9ad0_5662_0b61, [65, 4, 80, 72], Some(1)),
+        (0x7, 0x5eed, 0xd638_4cb0_257d_f280, [65, 3, 79, 71], Some(3)),
+        (
+            0xcafe,
+            0x2a,
+            0x662f_d06e_df8d_4221,
+            [65, 3, 80, 72],
+            Some(1),
+        ),
+    ];
+    for (script_seed, run_seed, digest, missed, first_stable) in pins {
+        let cfg = RuntimeConfig {
+            quorum: Some(3),
+            ..config(four_injector_plan(script_seed), 80, run_seed)
+        };
+        let report = run_deterministic(&algo, &cfg).expect("valid config");
+        assert_eq!(
+            (
+                report.digest,
+                report.missed.as_slice(),
+                report.first_stable_round
+            ),
+            (digest, missed.as_slice(), first_stable),
+            "script seed {script_seed:#x}, run seed {run_seed:#x}"
+        );
+    }
+}
+
+#[test]
+fn fault_free_a12_report_matches_its_pin() {
+    let algo = CounterBuilder::corollary1(1, 2)
+        .and_then(|b| b.boost(3))
+        .expect("A(12,3) parameters are valid")
+        .build()
+        .expect("A(12,3) builds");
+    let report =
+        run_deterministic(&algo, &config(FaultPlan::honest(12), 120, 0x12)).expect("valid config");
+    assert_eq!(report.digest, 0x7b74_6d86_d06a_dbc0);
+    assert_eq!(report.missed, vec![0; 12]);
+    assert_eq!(report.first_stable_round, Some(5));
 }
 
 #[test]
