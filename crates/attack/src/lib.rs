@@ -30,10 +30,10 @@
 //!   crossover between elite scripts — moves worth their evaluations once
 //!   an evaluation is cheap, sliced or early-decided), plus the combined
 //!   [`search::search`] and the bound-tightness sweep
-//!   [`search::period_profile`]; all deterministic
-//!   from a seed and fanned out with [`std::thread::scope`] behind the
-//!   `parallel` feature. With a goal ([`SearchConfig::target`]) a search
-//!   stops at the first script that reaches it.
+//!   [`search::period_profile`]; all deterministic from a seed and
+//!   fanned out on the persistent `sc-exec` pool. With a goal
+//!   ([`SearchConfig::target`]) a search stops at the first script that
+//!   reaches it.
 //! * **A synthesis pre-filter** — [`AttackPreFilter`] packages a budgeted
 //!   seeded search as a [`sc_verifier::CandidateFilter`]: candidates a
 //!   cheap scripted attack provably breaks never reach the exhaustive

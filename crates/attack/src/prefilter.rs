@@ -40,19 +40,26 @@
 //! pass the candidate through (`false`), keeping rejections sound by
 //! construction.
 
+use std::fmt;
+use std::sync::Arc;
+use std::time::Instant;
+
 use sc_core::{Algorithm, CounterState, LutCounter};
+use sc_obs::{CounterCell, MetricsSnapshot, Registry};
 use sc_verifier::CandidateFilter;
 
 use crate::search::{hill_climb, SearchConfig};
 use crate::{Delay, MoveSpace, Objective, Script};
 
-#[cfg(feature = "trace")]
-pub use meter::FilterMeter;
+struct Inner {
+    registry: Registry,
+    screened: Arc<CounterCell>,
+    rejected: Arc<CounterCell>,
+    evaluations: Arc<CounterCell>,
+    started: Instant,
+}
 
-#[cfg(not(feature = "trace"))]
-pub use meter_noop::FilterMeter;
-
-/// Live metering for [`AttackPreFilter`] sweeps (`trace` feature on).
+/// Live metering for [`AttackPreFilter`] sweeps.
 ///
 /// The filter's own `screened`/`rejected`/`evaluations` ledger is
 /// fork-local — worker forks report zero until [`CandidateFilter::absorb`]
@@ -60,180 +67,113 @@ pub use meter_noop::FilterMeter;
 /// live view: forks share the parent's counter cells (cloning the meter
 /// clones `Arc`s), so a long family sweep's reject rate and evals/s read
 /// correctly *while* workers screen.
-#[cfg(feature = "trace")]
-mod meter {
-    use std::fmt;
-    use std::sync::Arc;
-    use std::time::Instant;
+///
+/// Default instances are detached (every call is a `None` check).
+#[derive(Clone, Default)]
+pub struct FilterMeter {
+    inner: Option<Arc<Inner>>,
+}
 
-    use sc_obs::{CounterCell, MetricsSnapshot, Registry};
-
-    struct Inner {
-        registry: Registry,
-        screened: Arc<CounterCell>,
-        rejected: Arc<CounterCell>,
-        evaluations: Arc<CounterCell>,
-        started: Instant,
+impl FilterMeter {
+    /// An attached meter with live counters.
+    pub fn recording() -> FilterMeter {
+        let registry = Registry::new();
+        FilterMeter {
+            inner: Some(Arc::new(Inner {
+                screened: registry.counter("attack.screened"),
+                rejected: registry.counter("attack.rejected"),
+                evaluations: registry.counter("attack.evaluations"),
+                registry,
+                started: Instant::now(),
+            })),
+        }
     }
 
-    /// Shared pre-filter meter; see the module docs. Default instances
-    /// are detached (every call is a `None` check).
-    #[derive(Clone, Default)]
-    pub struct FilterMeter {
-        inner: Option<Arc<Inner>>,
+    /// Whether this meter records anything.
+    pub fn is_recording(&self) -> bool {
+        self.inner.is_some()
     }
 
-    impl FilterMeter {
-        /// An attached meter with live counters.
-        pub fn recording() -> FilterMeter {
-            let registry = Registry::new();
-            FilterMeter {
-                inner: Some(Arc::new(Inner {
-                    screened: registry.counter("attack.screened"),
-                    rejected: registry.counter("attack.rejected"),
-                    evaluations: registry.counter("attack.evaluations"),
-                    registry,
-                    started: Instant::now(),
-                })),
-            }
+    #[inline]
+    pub(crate) fn screened_inc(&self) {
+        if let Some(inner) = &self.inner {
+            inner.screened.inc();
         }
+    }
 
-        /// Whether this meter records anything.
-        pub fn is_recording(&self) -> bool {
-            self.inner.is_some()
+    #[inline]
+    pub(crate) fn rejected_inc(&self) {
+        if let Some(inner) = &self.inner {
+            inner.rejected.inc();
         }
+    }
 
-        #[inline]
-        pub(crate) fn screened_inc(&self) {
-            if let Some(inner) = &self.inner {
-                inner.screened.inc();
-            }
+    #[inline]
+    pub(crate) fn evals_add(&self, n: u64) {
+        if let Some(inner) = &self.inner {
+            inner.evaluations.add(n);
         }
+    }
 
-        #[inline]
-        pub(crate) fn rejected_inc(&self) {
-            if let Some(inner) = &self.inner {
-                inner.rejected.inc();
-            }
+    /// `(screened, rejected, evaluations)` so far, across every
+    /// holder of this meter — forks included.
+    pub fn counts(&self) -> (u64, u64, u64) {
+        self.inner.as_ref().map_or((0, 0, 0), |i| {
+            (i.screened.get(), i.rejected.get(), i.evaluations.get())
+        })
+    }
+
+    /// Fraction of screened candidates rejected so far (0 when
+    /// nothing was screened).
+    pub fn reject_rate(&self) -> f64 {
+        let (screened, rejected, _) = self.counts();
+        if screened == 0 {
+            0.0
+        } else {
+            rejected as f64 / screened as f64
         }
+    }
 
-        #[inline]
-        pub(crate) fn evals_add(&self, n: u64) {
-            if let Some(inner) = &self.inner {
-                inner.evaluations.add(n);
-            }
-        }
-
-        /// `(screened, rejected, evaluations)` so far, across every
-        /// holder of this meter — forks included.
-        pub fn counts(&self) -> (u64, u64, u64) {
-            self.inner.as_ref().map_or((0, 0, 0), |i| {
-                (i.screened.get(), i.rejected.get(), i.evaluations.get())
-            })
-        }
-
-        /// Fraction of screened candidates rejected so far (0 when
-        /// nothing was screened).
-        pub fn reject_rate(&self) -> f64 {
-            let (screened, rejected, _) = self.counts();
-            if screened == 0 {
-                0.0
+    /// Sweep evaluations per second since the meter was created.
+    pub fn evals_per_sec(&self) -> f64 {
+        self.inner.as_ref().map_or(0.0, |i| {
+            let secs = i.started.elapsed().as_secs_f64();
+            if secs > 0.0 {
+                i.evaluations.get() as f64 / secs
             } else {
-                rejected as f64 / screened as f64
+                0.0
             }
-        }
-
-        /// Sweep evaluations per second since the meter was created.
-        pub fn evals_per_sec(&self) -> f64 {
-            self.inner.as_ref().map_or(0.0, |i| {
-                let secs = i.started.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    i.evaluations.get() as f64 / secs
-                } else {
-                    0.0
-                }
-            })
-        }
-
-        /// Snapshot of the meters, with the derived rates folded in as
-        /// the `attack.reject_rate_permille` / `attack.evals_per_sec`
-        /// gauges.
-        pub fn metrics(&self) -> Option<MetricsSnapshot> {
-            self.inner.as_ref().map(|i| {
-                i.registry
-                    .gauge("attack.reject_rate_permille")
-                    .set((self.reject_rate() * 1000.0) as i64);
-                i.registry
-                    .gauge("attack.evals_per_sec")
-                    .set(self.evals_per_sec() as i64);
-                i.registry.snapshot()
-            })
-        }
+        })
     }
 
-    impl fmt::Debug for FilterMeter {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match &self.inner {
-                Some(_) => {
-                    let (screened, rejected, evaluations) = self.counts();
-                    write!(
-                        f,
-                        "FilterMeter(recording, screened: {screened}, \
-                         rejected: {rejected}, evaluations: {evaluations})"
-                    )
-                }
-                None => write!(f, "FilterMeter(detached)"),
-            }
-        }
+    /// Snapshot of the meters, with the derived rates folded in as
+    /// the `attack.reject_rate_permille` / `attack.evals_per_sec`
+    /// gauges.
+    pub fn metrics(&self) -> Option<MetricsSnapshot> {
+        self.inner.as_ref().map(|i| {
+            i.registry
+                .gauge("attack.reject_rate_permille")
+                .set((self.reject_rate() * 1000.0) as i64);
+            i.registry
+                .gauge("attack.evals_per_sec")
+                .set(self.evals_per_sec() as i64);
+            i.registry.snapshot()
+        })
     }
 }
 
-/// No-op mirror of the pre-filter meter (`trace` feature off).
-#[cfg(not(feature = "trace"))]
-mod meter_noop {
-    /// Pre-filter meter (`trace` feature off): a ZST whose every method
-    /// is an inlined empty body. `Clone` only (no `Copy`) so call sites
-    /// clone identically under both feature states.
-    #[derive(Clone, Debug, Default)]
-    pub struct FilterMeter {}
-
-    impl FilterMeter {
-        /// A no-op meter (the `trace` feature is off).
-        pub fn recording() -> FilterMeter {
-            FilterMeter {}
-        }
-
-        /// Always `false` without the `trace` feature.
-        #[inline(always)]
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-
-        #[inline(always)]
-        pub(crate) fn screened_inc(&self) {}
-
-        #[inline(always)]
-        pub(crate) fn rejected_inc(&self) {}
-
-        #[inline(always)]
-        pub(crate) fn evals_add(&self, _n: u64) {}
-
-        /// Always zero without the `trace` feature.
-        #[inline(always)]
-        pub fn counts(&self) -> (u64, u64, u64) {
-            (0, 0, 0)
-        }
-
-        /// Always 0 without the `trace` feature.
-        #[inline(always)]
-        pub fn reject_rate(&self) -> f64 {
-            0.0
-        }
-
-        /// Always 0 without the `trace` feature.
-        #[inline(always)]
-        pub fn evals_per_sec(&self) -> f64 {
-            0.0
+impl fmt::Debug for FilterMeter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.inner {
+            Some(_) => {
+                let (screened, rejected, evaluations) = self.counts();
+                write!(
+                    f,
+                    "FilterMeter(recording, screened: {screened}, \
+                     rejected: {rejected}, evaluations: {evaluations})"
+                )
+            }
+            None => write!(f, "FilterMeter(detached)"),
         }
     }
 }
@@ -278,7 +218,7 @@ pub struct AttackPreFilter {
     /// same `(n, states)` — a family sweep resamples nothing after the
     /// first candidate.
     warm: Option<WarmSweep>,
-    /// Live shared meter (a no-op ZST without the `trace` feature).
+    /// Live shared meter (detached unless [`with_meter`](Self::with_meter)).
     meter: FilterMeter,
 }
 
@@ -521,7 +461,6 @@ mod tests {
         assert_eq!(filter.rejected(), 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn meter_mirrors_the_ledger_across_forks() {
         let lut = follow_max(4, 1);

@@ -8,7 +8,7 @@
 //! Every strategy is **deterministic from [`SearchConfig::seed`]** — each
 //! restart/worker derives its generator from `(seed, task index)`, so
 //! results are bitwise independent of the thread count — and fans restarts
-//! out on the persistent `sc-exec` pool behind the `parallel` feature.
+//! out on the persistent `sc-exec` pool, capped at [`SearchConfig::threads`].
 //!
 //! Budgets are counted in candidate scores; anneal answers a repeated
 //! candidate from its restart's table, every other strategy sweeps each
@@ -56,7 +56,7 @@ pub struct SearchConfig {
     pub beam_width: usize,
     /// Sampled extensions per beam member per round.
     pub expansions: usize,
-    /// Worker-thread cap for the `parallel` fan-out.
+    /// Worker-thread cap for the restart fan-out (1 runs it inline).
     pub threads: usize,
     /// The goal: stop at the first evaluated script scoring `>= target`
     /// (see the module docs). `None` spends the whole budget looking for
@@ -481,7 +481,7 @@ where
 /// Folds per-task reports (in task order) into one; ties keep the earliest
 /// task, so the result is scheduling-independent. The fold stops consuming
 /// at the first task that reached [`SearchConfig::target`]: fed lazily
-/// (the serial path) the later tasks never run, fed from a finished pool
+/// (the cap-1 path) the later tasks never run, fed from a finished pool
 /// map they are discarded — the same report either way.
 fn fold(cfg: &SearchConfig, tasks: impl IntoIterator<Item = SearchReport>) -> SearchReport {
     let mut tasks = tasks.into_iter();
@@ -505,8 +505,8 @@ fn fold(cfg: &SearchConfig, tasks: impl IntoIterator<Item = SearchReport>) -> Se
 /// thread builds one warm clone of the objective and reuses it across the
 /// tasks it claims; task results are pure functions of the task index and
 /// are folded in task order ([`fold`]), so results are identical for any
-/// thread count — with or without a [`SearchConfig::target`].
-#[cfg(feature = "parallel")]
+/// thread count — with or without a [`SearchConfig::target`]. A cap of 1
+/// runs the tasks inline on the calling thread.
 fn fan_out<P, R, W>(
     obj: &Objective<'_, P, R>,
     cfg: &SearchConfig,
@@ -537,27 +537,6 @@ where
                 |local| worker(local, cfg, task as u64, slice),
             )
         }),
-    )
-}
-
-/// Serial scheduling (the `parallel` feature is disabled).
-#[cfg(not(feature = "parallel"))]
-fn fan_out<P, R, W>(
-    obj: &Objective<'_, P, R>,
-    cfg: &SearchConfig,
-    tasks: u64,
-    slice: u64,
-    worker: W,
-) -> SearchReport
-where
-    P: Fingerprint,
-    R: RawState<P::State> + Clone,
-    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> SearchReport,
-{
-    let mut local = obj.clone();
-    fold(
-        cfg,
-        (0..tasks.max(1)).map(|task| worker(&mut local, cfg, task, slice)),
     )
 }
 

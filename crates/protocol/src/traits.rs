@@ -219,9 +219,8 @@ pub trait PreparedProtocol: SyncProtocol {
 
     /// Builds the round's shared state from the broadcast vector `base`
     /// (faulty entries are placeholders and must be ignored) and the sorted
-    /// fault set. [`Broadcast`] carries either the engine's contiguous
-    /// buffer or a ref projection, so neither engines nor recursive
-    /// constructions clone or reallocate states to call this.
+    /// fault set. [`Broadcast`] borrows the engine's contiguous buffer, so
+    /// engines neither clone nor reallocate states to call this.
     fn prepare_round(&self, base: Broadcast<'_, Self::State>, faulty: &[NodeId])
         -> Self::RoundPrep;
 

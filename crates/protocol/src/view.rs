@@ -61,17 +61,14 @@ enum OverrideSlot<'a, S> {
 /// the base layer of a [`MessageView`], and what
 /// [`PreparedProtocol::prepare_round`] receives.
 ///
-/// Either the engine's contiguous state buffer or a recursive
-/// construction's zero-copy ref projection; neither form clones or
-/// reallocates states.
+/// The engine's contiguous state buffer, borrowed: building a view over it
+/// never clones or reallocates states.
 ///
 /// [`PreparedProtocol::prepare_round`]: crate::PreparedProtocol::prepare_round
 #[derive(Clone, Copy, Debug)]
 pub enum Broadcast<'a, S> {
     /// Contiguous states (the engine's round buffer).
     States(&'a [S]),
-    /// Individually referenced states (a projection).
-    Refs(&'a [&'a S]),
 }
 
 impl<'a, S> Broadcast<'a, S> {
@@ -81,18 +78,14 @@ impl<'a, S> Broadcast<'a, S> {
     ///
     /// Panics if `index` is outside the network.
     pub fn get(&self, index: usize) -> &'a S {
-        match self {
-            Broadcast::States(s) => &s[index],
-            Broadcast::Refs(r) => r[index],
-        }
+        let Broadcast::States(s) = self;
+        &s[index]
     }
 
     /// Number of states in the broadcast vector (the network size `n`).
     pub fn len(&self) -> usize {
-        match self {
-            Broadcast::States(s) => s.len(),
-            Broadcast::Refs(r) => r.len(),
-        }
+        let Broadcast::States(s) = self;
+        s.len()
     }
 
     /// Whether the vector is empty (only for degenerate zero-node
@@ -127,9 +120,8 @@ impl<'a, S> From<Broadcast<'a, S>> for MessageView<'a, S> {
 ///
 /// This layering avoids cloning the `n` honest states once per receiver
 /// (`O(n²)` clones per round) while still modelling full per-receiver
-/// equivocation. Both layers are zero-copy: the base may be a contiguous
-/// slice ([`MessageView::new`]) or a projection of borrowed states
-/// ([`MessageView::from_refs`]), and the override slot may borrow states the
+/// equivocation. Both layers are zero-copy: the base borrows a contiguous
+/// slice ([`MessageView::new`]), and the override slot may borrow states the
 /// caller already owns ([`MessageView::with_borrowed`]).
 ///
 /// # Example
@@ -144,15 +136,11 @@ impl<'a, S> From<Broadcast<'a, S>> for MessageView<'a, S> {
 /// assert_eq!(*view.get(NodeId::new(1)), 99);
 /// assert_eq!(view.iter().copied().collect::<Vec<_>>(), vec![10, 99, 30]);
 ///
-/// // Zero-copy: the same view built from scattered references and borrowed
-/// // overrides, without cloning a single state.
-/// let (a, b, c) = (10u64, 20, 30);
-/// let refs = [&a, &b, &c];
+/// // Zero-copy: the same view with a borrowed override, without cloning a
+/// // single state.
 /// let lie = 99u64;
 /// let borrowed = [(NodeId::new(1), &lie)];
-/// let view = MessageView::from_refs(&refs, &[]);
-/// assert_eq!(*view.get(NodeId::new(2)), 30);
-/// let view = MessageView::with_borrowed(&[10u64, 20, 30], &borrowed);
+/// let view = MessageView::with_borrowed(&base, &borrowed);
 /// assert_eq!(*view.get(NodeId::new(1)), 99);
 /// ```
 #[derive(Debug)]
@@ -174,22 +162,6 @@ impl<'a, S> MessageView<'a, S> {
         );
         MessageView {
             base: Broadcast::States(base),
-            overrides: OverrideSlot::Owned(overrides),
-        }
-    }
-
-    /// Creates a view whose base is a projection of individually referenced
-    /// states — no clone of the underlying states is made.
-    ///
-    /// This is how the boosting construction of §3 derives each block's
-    /// inner-counter view from the outer view.
-    pub fn from_refs(base: &'a [&'a S], overrides: &'a [(NodeId, S)]) -> Self {
-        debug_assert!(
-            overrides.iter().all(|(id, _)| id.index() < base.len()),
-            "override for node outside the network"
-        );
-        MessageView {
-            base: Broadcast::Refs(base),
             overrides: OverrideSlot::Owned(overrides),
         }
     }
@@ -390,27 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn refs_base_projects_scattered_states() {
-        let (a, b, c) = (5u32, 6, 7);
-        let refs = [&b, &c, &a]; // arbitrary projection order
-        let view = MessageView::from_refs(&refs, &[]);
-        assert_eq!(view.len(), 3);
-        assert_eq!(*view.get(NodeId::new(0)), 6);
-        assert_eq!(*view.get(NodeId::new(2)), 5);
-        assert_eq!(view.iter().copied().collect::<Vec<_>>(), vec![6, 7, 5]);
-    }
-
-    #[test]
-    fn refs_base_respects_owned_overrides() {
-        let (a, b) = (1u32, 2);
-        let refs = [&a, &b];
-        let overrides = [(NodeId::new(0), 9u32)];
-        let view = MessageView::from_refs(&refs, &overrides);
-        assert_eq!(*view.get(NodeId::new(0)), 9);
-        assert_eq!(*view.get(NodeId::new(1)), 2);
-    }
-
-    #[test]
     fn borrowed_overrides_shadow_without_cloning() {
         let base = vec![0u32; 3];
         let lie_a = 7u32;
@@ -470,9 +421,6 @@ mod tests {
         let base = vec![4u32, 5, 6];
         let view = MessageView::from(Broadcast::States(&base));
         assert_eq!(view.iter().copied().collect::<Vec<_>>(), base);
-        let refs = [&base[2], &base[0]];
-        let view = MessageView::from(Broadcast::Refs(&refs));
-        assert_eq!(view.iter().copied().collect::<Vec<_>>(), vec![6, 4]);
     }
 
     #[test]

@@ -199,10 +199,10 @@ impl BatchReport {
 /// A batched sweep runner for one counter protocol.
 ///
 /// Created with a protocol and a per-scenario horizon; [`Batch::run`] then
-/// executes any number of scenarios through the zero-copy engine. With the
-/// `parallel` feature (default), scenarios are fanned out across up to
-/// [`Batch::threads`] OS threads — results are bitwise identical regardless
-/// of the thread count, because every scenario owns its seeds.
+/// executes any number of scenarios through the zero-copy engine, fanned
+/// out on the persistent [`sc_exec`] pool across up to [`Batch::threads`]
+/// executing threads — results are bitwise identical regardless of the
+/// thread count, because every scenario owns its seeds.
 #[derive(Clone, Copy, Debug)]
 pub struct Batch<'a, P> {
     protocol: &'a P,
@@ -222,8 +222,8 @@ impl<'a, P: Counter> Batch<'a, P> {
         }
     }
 
-    /// Caps the worker thread count (effective only with the `parallel`
-    /// feature; clamped to at least 1).
+    /// Caps the worker thread count (clamped to at least 1; a cap of 1
+    /// runs the sweep inline on the calling thread).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -235,6 +235,22 @@ impl<'a, P: Counter> Batch<'a, P> {
     pub fn observed(mut self, obs: &'a SimObs) -> Self {
         self.obs = Some(obs);
         self
+    }
+
+    /// The scenario's simulation: a fresh adversary from `factory`, started
+    /// from the scenario's initial configuration or a seeded random one.
+    fn simulation<A, F>(&self, scenario: &Scenario<P::State>, factory: &F) -> Simulation<'a, P, A>
+    where
+        A: Adversary<P::State>,
+        F: Fn(&Scenario<P::State>) -> A,
+    {
+        let adversary = factory(scenario);
+        match &scenario.init {
+            Some(states) => {
+                Simulation::with_states(self.protocol, adversary, states.clone(), scenario.seed)
+            }
+            None => Simulation::new(self.protocol, adversary, scenario.seed),
+        }
     }
 
     /// Runs one scenario to completion, detecting stabilisation on the
@@ -262,13 +278,7 @@ impl<'a, P: Counter> Batch<'a, P> {
                 exit_reason: ExitReason::FullHorizon,
             };
         }
-        let adversary = factory(scenario);
-        let mut sim = match &scenario.init {
-            Some(states) => {
-                Simulation::with_states(self.protocol, adversary, states.clone(), scenario.seed)
-            }
-            None => Simulation::new(self.protocol, adversary, scenario.seed),
-        };
+        let mut sim = self.simulation(scenario, factory);
         let mut detector = OnlineDetector::new(self.protocol.modulus());
         detector.observe(sim.agreed_output_now());
         for _ in 0..self.horizon {
@@ -297,13 +307,7 @@ impl<'a, P: Counter> Batch<'a, P> {
         F: Fn(&Scenario<P::State>) -> A,
         S: Fn(&mut Simulation<'a, P, A>),
     {
-        let adversary = factory(scenario);
-        let mut sim = match &scenario.init {
-            Some(states) => {
-                Simulation::with_states(self.protocol, adversary, states.clone(), scenario.seed)
-            }
-            None => Simulation::new(self.protocol, adversary, scenario.seed),
-        };
+        let mut sim = self.simulation(scenario, factory);
         let (result, exit_reason) = sim.run_early_with(self.horizon, step);
         ScenarioOutcome {
             seed: scenario.seed,
@@ -321,7 +325,6 @@ impl<'a, P: Counter> Batch<'a, P> {
     /// early-decision exits make adjacent seeds wildly different — load-
     /// balances automatically; results land in per-index slots, so the
     /// report is bitwise identical for every thread count.
-    #[cfg(feature = "parallel")]
     fn schedule<R>(&self, scenarios: &[Scenario<P::State>], runner: R) -> BatchReport
     where
         R: Fn(&Scenario<P::State>) -> ScenarioOutcome + Sync,
@@ -339,51 +342,18 @@ impl<'a, P: Counter> Batch<'a, P> {
         }
     }
 
-    /// Schedules `runner` over every scenario in input order
-    /// (single-threaded build: the `parallel` feature is disabled).
-    #[cfg(not(feature = "parallel"))]
-    fn schedule<R>(&self, scenarios: &[Scenario<P::State>], runner: R) -> BatchReport
-    where
-        R: Fn(&Scenario<P::State>) -> ScenarioOutcome,
-    {
-        BatchReport {
-            outcomes: scenarios
-                .iter()
-                .map(|s| {
-                    let outcome = runner(s);
-                    if let Some(obs) = self.obs {
-                        obs.scenario_done(&outcome);
-                    }
-                    outcome
-                })
-                .collect(),
-        }
-    }
-
     /// Runs every scenario, producing per-scenario verdicts in input order.
     ///
     /// The `factory` builds a fresh adversary per scenario (adversaries are
-    /// stateful). With the `parallel` feature, scenarios are distributed
-    /// over worker threads; adversaries are created inside their worker, so
-    /// only the factory itself must be `Sync`.
-    #[cfg(feature = "parallel")]
+    /// stateful). Scenarios are distributed over worker threads;
+    /// adversaries are created inside their worker, so only the factory
+    /// itself must be `Sync`.
     pub fn run<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
         A: Adversary<P::State>,
         F: Fn(&Scenario<P::State>) -> A + Sync,
         P: Sync,
         P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| self.run_one(s, &factory, Simulation::step))
-    }
-
-    /// Runs every scenario, producing per-scenario verdicts in input order
-    /// (single-threaded build: the `parallel` feature is disabled).
-    #[cfg(not(feature = "parallel"))]
-    pub fn run<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
-    where
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
     {
         self.schedule(scenarios, |s| self.run_one(s, &factory, Simulation::step))
     }
@@ -392,7 +362,6 @@ impl<'a, P: Counter> Batch<'a, P> {
     /// per round, the receiver-independent vote tallies are hoisted out and
     /// each receiver patches only the Byzantine overrides. Verdicts are
     /// bitwise identical to [`run`](Batch::run).
-    #[cfg(feature = "parallel")]
     pub fn run_prepared<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
         P: PreparedProtocol,
@@ -400,19 +369,6 @@ impl<'a, P: Counter> Batch<'a, P> {
         F: Fn(&Scenario<P::State>) -> A + Sync,
         P: Sync,
         P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| {
-            self.run_one(s, &factory, Simulation::step_prepared)
-        })
-    }
-
-    /// [`run_prepared`](Batch::run_prepared), single-threaded build.
-    #[cfg(not(feature = "parallel"))]
-    pub fn run_prepared<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
-    where
-        P: PreparedProtocol,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
     {
         self.schedule(scenarios, |s| {
             self.run_one(s, &factory, Simulation::step_prepared)
@@ -427,7 +383,6 @@ impl<'a, P: Counter> Batch<'a, P> {
     /// [`exit_reason`](ScenarioOutcome::exit_reason) records whether and
     /// where the exit fired; RNG-driven adversaries run the full horizon
     /// and report [`ExitReason::Opaque`].
-    #[cfg(feature = "parallel")]
     pub fn run_early<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
         P: Fingerprint,
@@ -435,19 +390,6 @@ impl<'a, P: Counter> Batch<'a, P> {
         F: Fn(&Scenario<P::State>) -> A + Sync,
         P: Sync,
         P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| {
-            self.run_one_early(s, &factory, Simulation::step)
-        })
-    }
-
-    /// [`run_early`](Batch::run_early), single-threaded build.
-    #[cfg(not(feature = "parallel"))]
-    pub fn run_early<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
-    where
-        P: Fingerprint,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
     {
         self.schedule(scenarios, |s| {
             self.run_one_early(s, &factory, Simulation::step)
@@ -456,7 +398,6 @@ impl<'a, P: Counter> Batch<'a, P> {
 
     /// [`run_early`](Batch::run_early) on the [`PreparedProtocol`] fast
     /// path.
-    #[cfg(feature = "parallel")]
     pub fn run_prepared_early<A, F>(
         &self,
         scenarios: &[Scenario<P::State>],
@@ -468,24 +409,6 @@ impl<'a, P: Counter> Batch<'a, P> {
         F: Fn(&Scenario<P::State>) -> A + Sync,
         P: Sync,
         P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| {
-            self.run_one_early(s, &factory, Simulation::step_prepared)
-        })
-    }
-
-    /// [`run_prepared_early`](Batch::run_prepared_early), single-threaded
-    /// build.
-    #[cfg(not(feature = "parallel"))]
-    pub fn run_prepared_early<A, F>(
-        &self,
-        scenarios: &[Scenario<P::State>],
-        factory: F,
-    ) -> BatchReport
-    where
-        P: Fingerprint + PreparedProtocol,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
     {
         self.schedule(scenarios, |s| {
             self.run_one_early(s, &factory, Simulation::step_prepared)

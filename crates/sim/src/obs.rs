@@ -1,166 +1,115 @@
-//! Sweep-engine metering: scenario throughput, exit-reason tallies and
-//! stabilisation-round histograms, wired through `sc-obs` when the
-//! `trace` cargo feature is on and compiled to inlined no-ops when off.
+//! Sweep-engine metering through `sc-obs`: scenario throughput,
+//! exit-reason tallies and stabilisation-round histograms.
 //!
-//! Both variants expose the same [`SimObs`] surface, so [`crate::Batch`]
-//! and [`crate::SlicedBatch`] hook it unconditionally via
-//! [`Batch::observed`](crate::Batch::observed) — a detached (default)
-//! bundle costs one `None` check per scenario, a missing feature costs
-//! nothing at all. Metering is observe-only: it reads each verdict after
+//! [`crate::Batch`] and [`crate::SlicedBatch`] hook [`SimObs`]
+//! unconditionally via [`Batch::observed`](crate::Batch::observed) — a
+//! detached (default) bundle costs one `None` check per scenario, never
+//! one per round. Metering is observe-only: it reads each verdict after
 //! the engine produced it, so reports stay bitwise identical.
 
-#[cfg(feature = "trace")]
-pub use real::SimObs;
+use std::fmt;
+use std::sync::Arc;
+use std::time::Instant;
 
-#[cfg(not(feature = "trace"))]
-pub use noop::SimObs;
+use sc_obs::{CounterCell, LogHistogram, MetricsSnapshot, Registry};
 
-#[cfg(feature = "trace")]
-mod real {
-    use std::fmt;
-    use std::sync::Arc;
-    use std::time::Instant;
+use crate::batch::ScenarioOutcome;
+use crate::early::ExitReason;
 
-    use sc_obs::{CounterCell, LogHistogram, MetricsSnapshot, Registry};
+struct Inner {
+    registry: Registry,
+    scenarios: Arc<CounterCell>,
+    stabilized: Arc<CounterCell>,
+    full_horizon: Arc<CounterCell>,
+    cycle_exits: Arc<CounterCell>,
+    opaque_exits: Arc<CounterCell>,
+    stab_round: Arc<LogHistogram>,
+    started: Instant,
+}
 
-    use crate::batch::ScenarioOutcome;
-    use crate::early::ExitReason;
+/// Sweep metering bundle. Default instances are *detached* — every call
+/// is a `None` check — and [`SimObs::recording`] attaches live counters
+/// shared by every sweep observing the same bundle.
+#[derive(Clone, Default)]
+pub struct SimObs {
+    inner: Option<Arc<Inner>>,
+}
 
-    struct Inner {
-        registry: Registry,
-        scenarios: Arc<CounterCell>,
-        stabilized: Arc<CounterCell>,
-        full_horizon: Arc<CounterCell>,
-        cycle_exits: Arc<CounterCell>,
-        opaque_exits: Arc<CounterCell>,
-        stab_round: Arc<LogHistogram>,
-        started: Instant,
-    }
-
-    /// Sweep metering bundle (`trace` feature on). Default instances are
-    /// *detached* — every call is a `None` check — and
-    /// [`SimObs::recording`] attaches live counters shared by every sweep
-    /// observing the same bundle.
-    #[derive(Clone, Default)]
-    pub struct SimObs {
-        inner: Option<Arc<Inner>>,
-    }
-
-    impl SimObs {
-        /// An attached bundle with live counters.
-        pub fn recording() -> SimObs {
-            let registry = Registry::new();
-            SimObs {
-                inner: Some(Arc::new(Inner {
-                    scenarios: registry.counter("sim.scenarios"),
-                    stabilized: registry.counter("sim.stabilized"),
-                    full_horizon: registry.counter("sim.exit.full_horizon"),
-                    cycle_exits: registry.counter("sim.exit.cycle"),
-                    opaque_exits: registry.counter("sim.exit.opaque"),
-                    stab_round: registry.histogram("sim.stabilization_round"),
-                    registry,
-                    started: Instant::now(),
-                })),
-            }
-        }
-
-        /// Whether this bundle records anything.
-        pub fn is_recording(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// Folds one finished scenario into the meters.
-        #[inline]
-        pub(crate) fn scenario_done(&self, outcome: &ScenarioOutcome) {
-            let Some(inner) = &self.inner else {
-                return;
-            };
-            inner.scenarios.inc();
-            match outcome.exit_reason {
-                ExitReason::FullHorizon => inner.full_horizon.inc(),
-                ExitReason::Opaque => inner.opaque_exits.inc(),
-                ExitReason::Cycle { .. } => inner.cycle_exits.inc(),
-            }
-            if let Ok(report) = &outcome.result {
-                inner.stabilized.inc();
-                inner.stab_round.record(report.stabilization_round);
-            }
-        }
-
-        /// Scenarios metered so far.
-        pub fn scenarios_done(&self) -> u64 {
-            self.inner.as_ref().map_or(0, |i| i.scenarios.get())
-        }
-
-        /// Metered scenario throughput since the bundle was created.
-        pub fn scenarios_per_sec(&self) -> f64 {
-            self.inner.as_ref().map_or(0.0, |i| {
-                let secs = i.started.elapsed().as_secs_f64();
-                if secs > 0.0 {
-                    i.scenarios.get() as f64 / secs
-                } else {
-                    0.0
-                }
-            })
-        }
-
-        /// Snapshot of the meters, with the throughput folded in as the
-        /// `sim.scenarios_per_sec` gauge.
-        pub fn metrics(&self) -> Option<MetricsSnapshot> {
-            self.inner.as_ref().map(|i| {
-                i.registry
-                    .gauge("sim.scenarios_per_sec")
-                    .set(self.scenarios_per_sec() as i64);
-                i.registry.snapshot()
-            })
+impl SimObs {
+    /// An attached bundle with live counters.
+    pub fn recording() -> SimObs {
+        let registry = Registry::new();
+        SimObs {
+            inner: Some(Arc::new(Inner {
+                scenarios: registry.counter("sim.scenarios"),
+                stabilized: registry.counter("sim.stabilized"),
+                full_horizon: registry.counter("sim.exit.full_horizon"),
+                cycle_exits: registry.counter("sim.exit.cycle"),
+                opaque_exits: registry.counter("sim.exit.opaque"),
+                stab_round: registry.histogram("sim.stabilization_round"),
+                registry,
+                started: Instant::now(),
+            })),
         }
     }
 
-    impl fmt::Debug for SimObs {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match &self.inner {
-                Some(i) => write!(f, "SimObs(recording, {} scenarios)", i.scenarios.get()),
-                None => write!(f, "SimObs(detached)"),
-            }
+    /// Whether this bundle records anything.
+    pub fn is_recording(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Folds one finished scenario into the meters.
+    #[inline]
+    pub(crate) fn scenario_done(&self, outcome: &ScenarioOutcome) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        inner.scenarios.inc();
+        match outcome.exit_reason {
+            ExitReason::FullHorizon => inner.full_horizon.inc(),
+            ExitReason::Opaque => inner.opaque_exits.inc(),
+            ExitReason::Cycle { .. } => inner.cycle_exits.inc(),
         }
+        if let Ok(report) = &outcome.result {
+            inner.stabilized.inc();
+            inner.stab_round.record(report.stabilization_round);
+        }
+    }
+
+    /// Scenarios metered so far.
+    pub fn scenarios_done(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.scenarios.get())
+    }
+
+    /// Metered scenario throughput since the bundle was created.
+    pub fn scenarios_per_sec(&self) -> f64 {
+        self.inner.as_ref().map_or(0.0, |i| {
+            let secs = i.started.elapsed().as_secs_f64();
+            if secs > 0.0 {
+                i.scenarios.get() as f64 / secs
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Snapshot of the meters, with the throughput folded in as the
+    /// `sim.scenarios_per_sec` gauge.
+    pub fn metrics(&self) -> Option<MetricsSnapshot> {
+        self.inner.as_ref().map(|i| {
+            i.registry
+                .gauge("sim.scenarios_per_sec")
+                .set(self.scenarios_per_sec() as i64);
+            i.registry.snapshot()
+        })
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod noop {
-    use crate::batch::ScenarioOutcome;
-
-    /// Sweep metering bundle (`trace` feature off): a ZST whose every
-    /// method is an inlined empty body.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct SimObs;
-
-    impl SimObs {
-        /// A no-op bundle (the `trace` feature is off).
-        pub fn recording() -> SimObs {
-            SimObs
-        }
-
-        /// Always `false` without the `trace` feature.
-        #[inline(always)]
-        pub fn is_recording(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub(crate) fn scenario_done(&self, _outcome: &ScenarioOutcome) {}
-
-        /// Always 0 without the `trace` feature.
-        #[inline(always)]
-        pub fn scenarios_done(&self) -> u64 {
-            0
-        }
-
-        /// Always 0 without the `trace` feature.
-        #[inline(always)]
-        pub fn scenarios_per_sec(&self) -> f64 {
-            0.0
+impl fmt::Debug for SimObs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.inner {
+            Some(i) => write!(f, "SimObs(recording, {} scenarios)", i.scenarios.get()),
+            None => write!(f, "SimObs(detached)"),
         }
     }
 }

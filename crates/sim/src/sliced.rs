@@ -165,8 +165,8 @@ pub trait SlicedStrategy<S> {
 /// `64 × lane_words` lanes; each group advances through compiled round
 /// programs, with per-lane stabilisation verdicts from the same
 /// [`OnlineDetector`] the scalar engine uses — which is what makes verdict
-/// equality structural rather than coincidental. Groups fan out across
-/// threads (strided assignment, like the attack searcher's `fan_out`).
+/// equality structural rather than coincidental. Groups fan out on the
+/// persistent [`sc_exec`] pool, claimed dynamically by its workers.
 #[derive(Clone, Copy, Debug)]
 pub struct SlicedBatch<'a, P> {
     protocol: &'a P,
@@ -316,33 +316,13 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             outcomes
         };
 
-        let outcomes = self.schedule_groups(group_count, &run_group);
-        BatchReport { outcomes }
-    }
-
-    /// Fans group execution out over the persistent [`sc_exec`] pool
-    /// (workers claim groups dynamically, so long and short tails
-    /// load-balance) and restores input order.
-    #[cfg(feature = "parallel")]
-    fn schedule_groups(
-        &self,
-        group_count: usize,
-        run_group: &(impl Fn(usize) -> Vec<ScenarioOutcome> + Sync),
-    ) -> Vec<ScenarioOutcome> {
-        sc_exec::map(group_count, self.threads, run_group)
+        // Workers claim groups dynamically, so long and short tails
+        // load-balance; the pool restores input order.
+        let outcomes = sc_exec::map(group_count, self.threads, run_group)
             .into_iter()
             .flatten()
-            .collect()
-    }
-
-    /// Single-threaded build: groups run in order.
-    #[cfg(not(feature = "parallel"))]
-    fn schedule_groups(
-        &self,
-        group_count: usize,
-        run_group: &impl Fn(usize) -> Vec<ScenarioOutcome>,
-    ) -> Vec<ScenarioOutcome> {
-        (0..group_count).flat_map(run_group).collect()
+            .collect();
+        BatchReport { outcomes }
     }
 
     /// Packs, advances and adjudicates one lane group, on the calling

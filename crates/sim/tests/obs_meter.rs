@@ -1,7 +1,5 @@
-//! Sweep-metering suite (`trace` feature): `SimObs` tallies must agree
-//! with the report, and metering must not perturb verdicts.
-
-#![cfg(feature = "trace")]
+//! Sweep-metering suite: `SimObs` tallies must agree with the report,
+//! and metering must not perturb verdicts.
 
 use sc_sim::testing::FollowMax;
 use sc_sim::{adversaries, Batch, ExitReason, Scenario, SimObs};

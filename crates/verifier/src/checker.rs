@@ -114,12 +114,10 @@ pub struct AnalysisSummary {
 }
 
 /// Per-fault-set ingredients of an [`AnalysisSummary`].
-#[cfg(feature = "parallel")]
 type SetOutcome = (Vec<usize>, SetStats);
 
 /// Folds per-fault-set outcomes (streamed, in enumeration order) into a
 /// summary; the first error wins.
-#[cfg(feature = "parallel")]
 fn fold_outcomes(
     outcomes: impl IntoIterator<Item = Result<SetOutcome, ParamError>>,
 ) -> Result<AnalysisSummary, ParamError> {
@@ -151,11 +149,10 @@ fn fold_outcomes(
 /// `Analyzer::new().analyze(lut)`; callers scoring many candidates should
 /// hold an [`Analyzer`] instead, so the game buffers are reused.
 ///
-/// With the `parallel` feature (default), instances large enough to
-/// amortise hand-off overhead fan the independent fault-set games out on
-/// the persistent [`sc_exec`] pool; results are folded in enumeration
-/// order, so the summary (including which failing fault set is reported)
-/// is identical to the serial path.
+/// Instances large enough to amortise hand-off overhead fan the
+/// independent fault-set games out on the persistent [`sc_exec`] pool;
+/// results are folded in enumeration order, so the summary (including
+/// which failing fault set is reported) is identical to the serial path.
 ///
 /// # Errors
 ///
@@ -259,7 +256,6 @@ fn analyze_serial<E: SetEngine>(
 /// summary — including which failing fault set is reported and which
 /// error wins — is bitwise identical to the serial path at every thread
 /// count.
-#[cfg(feature = "parallel")]
 fn analyze_parallel<E: SetEngine>(
     engine: &mut E,
     lut: &LutCounter,
@@ -271,7 +267,6 @@ fn analyze_parallel<E: SetEngine>(
 
 /// [`analyze_parallel`] against an explicit pool — the seam the forced
 /// fan-out test drives with its own worker counts.
-#[cfg(feature = "parallel")]
 fn analyze_on_pool<E: SetEngine>(
     pool: &sc_exec::Pool,
     engine: &mut E,
@@ -367,30 +362,27 @@ impl Analyzer {
             return self.analyze_dedup(lut);
         }
         let quotient = symmetric && self.mode != SolverMode::Full;
-        #[cfg(feature = "parallel")]
-        {
-            // Gate on the largest game in the loop — the fault-free
-            // configuration (or orbit) count; tiny instances (the
-            // synthesis hill-climb) stay on this thread.
-            let threads = sc_exec::threads();
-            let weight = if quotient {
-                binomial(spec.states as usize + spec.n - 1, spec.n)
-                    .try_into()
-                    .unwrap_or(usize::MAX)
-            } else {
-                (spec.states as usize)
-                    .checked_pow(spec.n as u32)
-                    .unwrap_or(usize::MAX)
-            };
-            if weight >= 1 << 12 && threads > 1 {
-                let sets: Vec<Vec<usize>> = FaultSets::new(spec.n, spec.f).collect();
-                if sets.len() > 1 {
-                    return if quotient {
-                        analyze_parallel(&mut self.orbit, lut, &sets, threads)
-                    } else {
-                        analyze_parallel(&mut self.solver, lut, &sets, threads)
-                    };
-                }
+        // Gate on the largest game in the loop — the fault-free
+        // configuration (or orbit) count; tiny instances (the
+        // synthesis hill-climb) stay on this thread.
+        let threads = sc_exec::threads();
+        let weight = if quotient {
+            binomial(spec.states as usize + spec.n - 1, spec.n)
+                .try_into()
+                .unwrap_or(usize::MAX)
+        } else {
+            (spec.states as usize)
+                .checked_pow(spec.n as u32)
+                .unwrap_or(usize::MAX)
+        };
+        if weight >= 1 << 12 && threads > 1 {
+            let sets: Vec<Vec<usize>> = FaultSets::new(spec.n, spec.f).collect();
+            if sets.len() > 1 {
+                return if quotient {
+                    analyze_parallel(&mut self.orbit, lut, &sets, threads)
+                } else {
+                    analyze_parallel(&mut self.solver, lut, &sets, threads)
+                };
             }
         }
         if quotient {
@@ -732,7 +724,6 @@ mod tests {
     /// explicit [`sc_exec::Pool`]s with forced worker counts so real
     /// cross-thread claiming is exercised regardless of how many cores the
     /// host has (the public gate only fans out on multi-core machines).
-    #[cfg(feature = "parallel")]
     #[test]
     fn forced_parallel_fan_out_matches_serial_summary() {
         let x = 8u8;

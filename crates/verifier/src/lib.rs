@@ -66,7 +66,7 @@
 //! The representation decides `2^20` configurations × `2^14` Byzantine
 //! combinations per fault set (the first-generation checker stopped at
 //! `2^14` / `2^10`), and independent fault sets fan out across threads
-//! behind the `parallel` feature (on by default).
+//! on the persistent `sc-exec` pool.
 //!
 //! # The orbit quotient and the synthesis campaign
 //!
@@ -119,9 +119,7 @@ mod synthesis;
 
 pub use checker::{analyze, verify, AnalysisSummary, Analyzer, SolverMode, Verdict, Witness};
 pub use progress::{sweep_family_observed, SweepObs};
-#[cfg(feature = "parallel")]
-pub use synthesis::sweep_family_on;
 pub use synthesis::{
-    sweep_family, synthesize, CandidateFilter, NoFilter, SweepCheckpoint, SweepLedger,
-    SweepOutcome, SymmetricFamily, SynthesisOutcome, SynthesisReport,
+    sweep_family, sweep_family_on, synthesize, CandidateFilter, NoFilter, SweepCheckpoint,
+    SweepLedger, SweepOutcome, SymmetricFamily, SynthesisOutcome, SynthesisReport,
 };

@@ -569,20 +569,19 @@ pub struct SweepOutcome {
 /// checkpoint between calls ([`SweepCheckpoint::encode`]) and a killed
 /// sweep resumes exactly where it stopped.
 ///
-/// With the `parallel` feature (default) and a filter that implements
-/// [`CandidateFilter::fork`], candidate screening (pre-filter plus the
-/// quotient solve for survivors) fans out on the persistent [`sc_exec`]
-/// pool in bounded chunks; the ledger, survivor list and finds are folded
-/// in candidate order, so the checkpoint — including mid-chunk resume
-/// points — is bitwise identical to the serial sweep at every thread
-/// count. Filters that return `None` from `fork` keep the serial path.
+/// With a filter that implements [`CandidateFilter::fork`], candidate
+/// screening (pre-filter plus the quotient solve for survivors) fans out
+/// on the persistent [`sc_exec`] pool in bounded chunks; the ledger,
+/// survivor list and finds are folded in candidate order, so the
+/// checkpoint — including mid-chunk resume points — is bitwise identical
+/// to the serial sweep at every thread count. Filters that return `None`
+/// from `fork`, and a thread cap of 1, keep the serial path.
 ///
 /// # Errors
 ///
 /// Returns [`ParamError`] when the family cannot be enumerated in 64 bits
 /// or the verifier rejects the instance shape; the checkpoint is left at
 /// the failing candidate, so a retry resumes there.
-#[cfg(feature = "parallel")]
 pub fn sweep_family<F: CandidateFilter + Send + Sync>(
     family: &SymmetricFamily,
     filter: &mut F,
@@ -601,31 +600,12 @@ pub fn sweep_family<F: CandidateFilter + Send + Sync>(
     )
 }
 
-/// Serial [`sweep_family`] — the `parallel` feature is off, or see
-/// [`sweep_family_on`] for the pool-backed variant.
-#[cfg(not(feature = "parallel"))]
-pub fn sweep_family<F: CandidateFilter>(
-    family: &SymmetricFamily,
-    filter: &mut F,
-    analyzer: &mut Analyzer,
-    checkpoint: &mut SweepCheckpoint,
-    budget: u64,
-) -> Result<SweepOutcome, ParamError> {
-    let total = family
-        .len()
-        .ok_or_else(|| ParamError::overflow("|X|^classes candidates"))?;
-    let end = checkpoint.position.saturating_add(budget).min(total);
-    sweep_serial(family, filter, analyzer, checkpoint, end, total)
-}
-
 /// Candidates per pool submission: bounds the per-chunk result buffer (a
 /// huge-budget call folds chunk by chunk) without affecting results — the
 /// fold order is candidate order regardless of the chunk size.
-#[cfg(feature = "parallel")]
 const SWEEP_CHUNK: u64 = 1024;
 
 /// What one worker decided about one candidate, before the in-order fold.
-#[cfg(feature = "parallel")]
 enum Screened {
     Rejected,
     Survived(Result<crate::checker::AnalysisSummary, ParamError>),
@@ -634,7 +614,6 @@ enum Screened {
 /// [`sweep_family`] against an explicit pool and thread cap — the seam the
 /// thread-count-invariance tests drive with forced worker counts. The
 /// public entry point passes the process-wide pool and [`sc_exec::threads`].
-#[cfg(feature = "parallel")]
 pub fn sweep_family_on<F: CandidateFilter + Send + Sync>(
     pool: &sc_exec::Pool,
     threads: usize,
@@ -957,7 +936,6 @@ mod tests {
     /// The pool-backed sweep must fold to the serial checkpoint bitwise at
     /// every thread count, driven against explicit pools so real
     /// cross-thread claiming runs regardless of host cores.
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_sweep_matches_serial_checkpoint_at_forced_caps() {
         let family = SymmetricFamily::new(4, 1, 2, 2).unwrap();

@@ -2,8 +2,6 @@
 //! (checkpoints bitwise-match a plain `sweep_family` run), the gauges
 //! mirror the ledger live, and a detached bundle records nothing.
 
-#![cfg(feature = "trace")]
-
 use sc_verifier::{
     sweep_family, sweep_family_observed, Analyzer, NoFilter, SweepCheckpoint, SweepObs,
     SymmetricFamily,

@@ -32,7 +32,8 @@
 //!   deterministic harness replaying every scenario bit-identically.
 //!   With the `trace` cargo feature, `runtime::obs` exposes the `sc-obs`
 //!   observability layer — metrics, lock-free event rings, and the
-//!   flight recorder — wired through the runtime and the sweep engines.
+//!   flight recorder — wired through the runtime (the sweep engines'
+//!   meters are always compiled and detached by default).
 //!
 //! # Quickstart
 //!
