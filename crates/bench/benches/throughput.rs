@@ -37,8 +37,8 @@
 //!   recovery percentiles, batched read-latency percentiles, and the
 //!   deterministic harness's digest-equality witness; measurements append
 //!   to `BENCH_runtime.json`,
-//! * the **observability table** (`--features trace` builds): the traced
-//!   live hot path within **≤ 5%** of untraced wall clock, the metered
+//! * the **observability table**: the recording live hot path within
+//!   **≤ 5%** of a detached bundle's wall clock, the metered
 //!   `CounterHandle` read path holding the **≥ 1M reads/s** gate, the
 //!   traced-vs-untraced digest-equality witness, and a flight-recorder
 //!   firing on an injected over-budget burst; measurements append to
@@ -1671,19 +1671,18 @@ fn runtime_table() {
     }
 }
 
-/// The observability table (trace builds): the traced live-runtime hot
-/// path against the untraced one — same config, same seed, wall-clock
-/// compared with a **≤ 5%** overhead gate (instrumentation is a handful
-/// of ring pushes per round; the wall clock is paced by the round
-/// schedule, so any real perturbation shows up as deadline misses and a
-/// longer run) — the metered [`sc_runtime::CounterHandle`] read path
+/// The observability table: the traced (recording) live-runtime hot
+/// path against the untraced (detached) one — same config, same seed,
+/// wall-clock compared with a **≤ 5%** overhead gate (instrumentation
+/// is a handful of ring pushes per round; the wall clock is paced by the
+/// round schedule, so any real perturbation shows up as deadline misses
+/// and a longer run) — the metered [`sc_runtime::CounterHandle`] read path
 /// under the same **≥ 1M reads/s** gate as the runtime table (the
 /// read-rate meter is one thread-local increment per read), the
 /// traced-vs-untraced digest-equality witness on the deterministic
 /// harness, and a flight-recorder firing on an injected over-budget
 /// burst with its merged dump sizes. Measurements append to
 /// `BENCH_obs.json`.
-#[cfg(feature = "trace")]
 fn observability_table() {
     use sc_runtime::obs::{FlightConfig, TriggerReason};
     use sc_runtime::{
@@ -1903,16 +1902,6 @@ fn observability_table() {
     }
 }
 
-/// Without the `trace` feature the observability table has nothing to
-/// measure — the seam compiles to no-ops by design.
-#[cfg(not(feature = "trace"))]
-fn observability_table() {
-    println!(
-        "## observability — skipped (rebuild with `--features trace` \
-         for the traced-runtime table)\n"
-    );
-}
-
 criterion_group!(benches, bench_throughput);
 
 fn main() {
@@ -1922,8 +1911,7 @@ fn main() {
     // THROUGHPUT_PARALLEL_ONLY=1 runs just the parallel-scaling table — the
     // quick loop for tuning the executor gates without the other tables.
     // THROUGHPUT_RUNTIME_ONLY=1 likewise runs just the live-runtime table,
-    // and THROUGHPUT_OBS_ONLY=1 just the observability table (which needs
-    // a `--features trace` build to measure anything).
+    // and THROUGHPUT_OBS_ONLY=1 just the observability table.
     if std::env::var_os("THROUGHPUT_PARALLEL_ONLY").is_some() {
         parallel_table();
         return;

@@ -4,10 +4,9 @@
 //! metric or emitting a trace event never blocks, never allocates on the
 //! hot path, and never feeds back into the instrumented computation —
 //! which is what lets the runtime promise bit-identical digests with
-//! tracing enabled or disabled. Consumer crates gate their wiring behind
-//! a `trace` cargo feature whose disabled default compiles to inlined
-//! no-ops (see each crate's `obs` shim module); this crate itself is
-//! always the real implementation.
+//! tracing attached or detached. Consumer crates link it unconditionally
+//! and hold their meters behind an `Option` that is `None` (detached)
+//! by default, so an unobserved run pays one `None` check per seam.
 //!
 //! The pieces:
 //!

@@ -41,7 +41,7 @@ where
 /// Instrumentation is observe-only: tracers read protocol state, never
 /// feed it, and timestamps come from the same virtual clock the phases
 /// already advance. The report — digest included — is therefore
-/// bit-identical whether `obs` is recording, detached, or compiled out.
+/// bit-identical whether `obs` is recording or detached.
 pub fn run_deterministic_obs<P>(
     algo: &P,
     config: &RuntimeConfig,

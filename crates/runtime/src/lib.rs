@@ -50,15 +50,12 @@ pub use mailbox::{CounterHandle, MailboxPlane, OutputBoard, SnapshotCell};
 pub use monitor::{MonitorCore, Recovery, StabilityEvent};
 pub use node::{initial_states, NodeCore, PublishAction};
 pub use plan::{FaultEntry, FaultKind, FaultPlan};
-pub use trace::{MonitorTrace, NodeTrace, RuntimeObs};
+pub use trace::{MeteredReads, MonitorTrace, NodeTrace, RuntimeObs};
 
-/// Re-export of the observability substrate (only with the `trace`
-/// feature), so downstream code can name `sc_runtime::obs::FlightConfig`
-/// etc. without depending on `sc-obs` directly.
-#[cfg(feature = "trace")]
+/// Re-export of the observability substrate, so downstream code can name
+/// `sc_runtime::obs::FlightConfig` etc. without depending on `sc-obs`
+/// directly.
 pub use sc_obs as obs;
-#[cfg(feature = "trace")]
-pub use trace::MeteredReads;
 
 use std::fmt;
 

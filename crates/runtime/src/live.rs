@@ -152,10 +152,10 @@ where
     run_live_obs(algo, config, &RuntimeObs::default(), serve)
 }
 
-/// [`run_live`] with an observability bundle attached. With the `trace`
-/// feature off (or a detached default bundle) every instrumentation call
-/// compiles to (or short-circuits at) a no-op; instrumentation is
-/// observe-only either way, so the report is identical.
+/// [`run_live`] with an observability bundle attached. With a detached
+/// (default) bundle every instrumentation call short-circuits at one
+/// `None` check; instrumentation is observe-only either way, so the
+/// report is identical.
 pub fn run_live_obs<P, F, R>(
     algo: &P,
     config: &RuntimeConfig,

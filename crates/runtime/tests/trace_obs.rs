@@ -1,9 +1,7 @@
-//! Observability integration suite (`trace` feature): instrumentation
-//! must be observe-only (traced and untraced digests bit-identical), the
-//! flight recorder must fire on real watchdog anomalies with a merged
+//! Observability integration suite: instrumentation must be
+//! observe-only (traced and untraced digests bit-identical), the flight
+//! recorder must fire on real watchdog anomalies with a merged
 //! globally-ordered dump, and the metered read path must count exactly.
-
-#![cfg(feature = "trace")]
 
 use sc_core::{Algorithm, CounterBuilder};
 use sc_protocol::Counter;
@@ -194,6 +192,49 @@ fn flight_recorder_fires_on_miss_storm() {
     let metrics = obs.metrics().expect("recording bundle");
     let total: u64 = report.missed.iter().sum();
     assert_eq!(metrics.counter("runtime.deadline_misses"), Some(total));
+}
+
+/// A bundle reused across runs keeps one lifetime miss counter: a
+/// fault-free run after a run with misses must not read the earlier
+/// misses as a storm of its own.
+#[test]
+fn reused_bundle_does_not_fire_a_stale_miss_storm() {
+    let algo = a41();
+    let obs = RuntimeObs::recording(FlightConfig {
+        miss_storm: 8,
+        max_unstable_rounds: 1_000_000,
+        ..FlightConfig::default()
+    });
+    let bursty = run_deterministic_obs(&algo, &config(delayed_burst(0, 4, 20), 60, 13), &obs)
+        .expect("valid config");
+    let first_misses: u64 = bursty.missed.iter().sum();
+    assert!(
+        first_misses >= 8,
+        "the burst must charge at least a storm's worth of misses in total, got {first_misses}"
+    );
+    assert!(
+        !obs.flight_fired(),
+        "no single observation of the burst run reaches the storm threshold"
+    );
+
+    let calm = run_deterministic_obs(&algo, &config(FaultPlan::honest(4), 60, 13), &obs)
+        .expect("valid config");
+    assert_eq!(
+        calm.missed.iter().sum::<u64>(),
+        0,
+        "the fault-free run misses nothing"
+    );
+    assert!(
+        !obs.flight_fired(),
+        "a miss-free run fired {:?}",
+        obs.flight_dump().map(|dump| (dump.reason, dump.round))
+    );
+    let metrics = obs.metrics().expect("recording bundle");
+    assert_eq!(
+        metrics.counter("runtime.deadline_misses"),
+        Some(first_misses),
+        "the counter stays cumulative over the bundle's lifetime"
+    );
 }
 
 /// The metered read path counts every read exactly (batched flushes plus

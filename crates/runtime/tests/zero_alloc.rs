@@ -3,9 +3,10 @@
 //! A node keeps its round preparation, codec scratch, inbox, donor list
 //! and donor ring for the whole run, so once the ring has filled, none of
 //! the per-round node operations may touch the allocator: honest,
-//! equivocating and scripted publishes, and the read + step. This binary
-//! installs a counting allocator to hold the node to that, on A(4,1) and
-//! A(12,3).
+//! equivocating and scripted publishes, and the read + step. Neither may
+//! the node's trace seams, whether its `NodeTrace` is detached or
+//! recording into a ring. This binary installs a counting allocator to
+//! hold the node to that, on A(4,1) and A(12,3).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +16,11 @@ use rand::SeedableRng;
 use sc_attack::{MoveSpace, Script};
 use sc_core::{Algorithm, CounterBuilder};
 use sc_protocol::{Counter, SyncProtocol};
-use sc_runtime::{initial_states, FaultEntry, FaultKind, MailboxPlane, NodeCore, OutputBoard};
+use sc_runtime::obs::FlightConfig;
+use sc_runtime::{
+    initial_states, FaultEntry, FaultKind, MailboxPlane, NodeCore, NodeTrace, OutputBoard,
+    RuntimeObs,
+};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Per thread, so
@@ -65,9 +70,9 @@ fn allocations(op: impl FnOnce()) -> u64 {
 /// Runs [`WARM_UP`] + [`MEASURED`] rounds of a network in which node
 /// `scripted` replays a script with echo, stale and raw moves, node
 /// `equivocator` publishes two faces and every other node is honest, and
-/// holds every per-round node operation of the measured rounds to zero
-/// allocations.
-fn assert_warm_rounds_allocate_nothing(label: &str, algo: &Algorithm) {
+/// holds every per-round node operation of the measured rounds, and every
+/// trace seam call on `obs`'s node tracers, to zero allocations.
+fn assert_warm_rounds_allocate_nothing(label: &str, algo: &Algorithm, obs: &RuntimeObs) {
     let n = algo.n();
     let (scripted, equivocator) = (1, 2);
     let space = MoveSpace {
@@ -93,6 +98,9 @@ fn assert_warm_rounds_allocate_nothing(label: &str, algo: &Algorithm) {
             NodeCore::new(algo, id, state, 5, fault)
         })
         .collect();
+    // The tracers' timestamp closures read the round: a clock is not
+    // what is measured here.
+    let mut tracers: Vec<NodeTrace> = (0..n).map(|id| obs.node_tracer(id)).collect();
 
     // Per operation: allocations over the measured rounds.
     let mut ledger = [
@@ -100,22 +108,33 @@ fn assert_warm_rounds_allocate_nothing(label: &str, algo: &Algorithm) {
         ("publish_equivocate", 0),
         ("observe_for_script + publish_scripted", 0),
         ("read_and_step", 0),
+        ("trace seams", 0),
     ];
     for round in 0..WARM_UP + MEASURED {
-        let mut spent = [0; 4];
-        for (id, core) in cores.iter_mut().enumerate() {
+        let mut spent = [0; 5];
+        for (id, (core, tracer)) in cores.iter_mut().zip(&mut tracers).enumerate() {
+            spent[4] += allocations(|| tracer.round_open(|| round, round));
             if id == equivocator {
                 spent[1] += allocations(|| core.publish_equivocate(&plane, round));
+                spent[4] += allocations(|| tracer.fault_active(|| round, round, 3));
             } else if id != scripted {
                 spent[0] += allocations(|| core.publish_honest(&plane, &board, round));
+                spent[4] += allocations(|| tracer.publish(|| round, round, || core.output()));
             }
         }
         spent[2] += allocations(|| {
             cores[scripted].observe_for_script(&plane, round);
             cores[scripted].publish_scripted(&plane, round);
         });
-        for core in &mut cores {
+        spent[4] += allocations(|| {
+            tracers[scripted].fault_active(|| round, round, 4);
+            // No node here is delayed; the late-publish seam is driven on
+            // the scripted node's tracer so every seam is measured.
+            tracers[scripted].publish_late(|| round, round, 1);
+        });
+        for (core, tracer) in cores.iter_mut().zip(&mut tracers) {
             spent[3] += allocations(|| core.read_and_step(&plane, round));
+            spent[4] += allocations(|| tracer.read_step(|| round, round, core.missed()));
         }
         if round >= WARM_UP {
             for ((_, total), spent) in ledger.iter_mut().zip(spent) {
@@ -142,10 +161,33 @@ fn the_counting_allocator_is_installed() {
     assert!(allocations(|| drop(std::hint::black_box(vec![0u8; 8]))) > 0);
 }
 
-#[test]
-fn warm_node_rounds_do_not_allocate() {
+/// A(4,1) and A(12,3).
+fn figure2_lower_levels() -> [(&'static str, Algorithm); 2] {
     let a4 = CounterBuilder::corollary1(1, 2).expect("A(4,1) parameters are valid");
     let a12 = a4.clone().boost(3).expect("A(12,3) parameters are valid");
-    assert_warm_rounds_allocate_nothing("A(4,1)", &a4.build().expect("A(4,1) builds"));
-    assert_warm_rounds_allocate_nothing("A(12,3)", &a12.build().expect("A(12,3) builds"));
+    [
+        ("A(4,1)", a4.build().expect("A(4,1) builds")),
+        ("A(12,3)", a12.build().expect("A(12,3) builds")),
+    ]
+}
+
+#[test]
+fn warm_node_rounds_do_not_allocate() {
+    let detached = RuntimeObs::default();
+    for (label, algo) in figure2_lower_levels() {
+        assert_warm_rounds_allocate_nothing(label, &algo, &detached);
+    }
+}
+
+#[test]
+fn warm_recording_trace_seams_do_not_allocate() {
+    for (label, algo) in figure2_lower_levels() {
+        let recording = RuntimeObs::recording(FlightConfig::default());
+        assert_warm_rounds_allocate_nothing(label, &algo, &recording);
+        let collector = recording.collector().expect("recording bundle");
+        assert!(
+            collector.total_pushed() > 0,
+            "{label}: the recording tracers must have pushed events"
+        );
+    }
 }

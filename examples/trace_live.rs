@@ -6,7 +6,7 @@
 //! and printed as a table, followed by the recovery percentiles and the
 //! run's metrics.
 //!
-//! Run with `cargo run --release --features trace --example trace_live`.
+//! Run with `cargo run --release --example trace_live`.
 
 use synchronous_counting::core::CounterBuilder;
 use synchronous_counting::protocol::Counter;

@@ -30,10 +30,10 @@
 //!   (crash / mute / delay / equivocate / scripted witnesses), a
 //!   watchdog monitor, a versioned-snapshot read path, and a
 //!   deterministic harness replaying every scenario bit-identically.
-//!   With the `trace` cargo feature, `runtime::obs` exposes the `sc-obs`
-//!   observability layer — metrics, lock-free event rings, and the
-//!   flight recorder — wired through the runtime (the sweep engines'
-//!   meters are always compiled and detached by default).
+//!   `runtime::obs` exposes the `sc-obs` observability layer — metrics,
+//!   lock-free event rings, and the flight recorder — wired through the
+//!   runtime; like the sweep engines' meters, the runtime's seams are
+//!   always compiled and detached by default.
 //!
 //! # Quickstart
 //!
