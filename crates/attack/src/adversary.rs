@@ -2,19 +2,18 @@
 //! live engine, with full snapshot support so scripted runs ride the
 //! early-decision exit.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_core::{Algorithm, CounterState};
-use sc_protocol::{MessageSource, NodeId, SyncProtocol};
-use sc_sim::adversaries::{donor_id, normalize_faults};
-use sc_sim::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport, StatePool};
+use sc_protocol::{NodeId, SyncProtocol};
+use sc_sim::adversaries::normalize_faults;
+use sc_sim::FacedAdversary;
 
-use crate::script::{Move, Script};
+use crate::script::Script;
+use crate::sliced::{raw_vocabulary, SlicedScript};
 
-/// The raw state vocabulary [`Move::Raw`] indexes into: a deterministic
-/// map from a byte to a protocol state.
+/// The raw state vocabulary [`Move::Raw`](crate::Move::Raw) indexes into:
+/// a deterministic map from a byte to a protocol state.
 ///
 /// Two grades of vocabulary exist:
 ///
@@ -78,174 +77,30 @@ fn palette_rng(value: u8) -> SmallRng {
     SmallRng::seed_from_u64(0x5c41_7ac4 ^ u64::from(value).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// An adversary that plays a [`Script`] verbatim on the borrow-based
-/// message plane.
-///
-/// * [`Move::Echo`] moves are delivered as zero-copy
-///   [`MessageSource::Broadcast`] leases of the chosen donor;
-/// * [`Move::Raw`] moves fabricate the vocabulary state **once per (sender,
-///   value) per round**, shared by every receiver scripted to see it;
-/// * [`Move::Stale`] moves replay a donor ring of past honest broadcasts
-///   (retained only as deep as the script's [`Script::max_lag`]), cloned at
-///   most once per (lag, donor) per round.
-///
-/// The adversary borrows its script, so a search loop can edit one script
-/// in place between evaluations without cloning move tables.
-///
-/// Scripted strategies are **deterministic**: [`Adversary::snapshot`]
-/// writes the effective lasso position and the replay ring, so
-/// `run_until_stable_early` takes cycle-based exits under scripted attacks
-/// exactly as it does under the library's deterministic strategies.
-pub struct ScriptedAdversary<'s, S, R> {
-    script: &'s Script,
-    raw: R,
-    faulty: Vec<NodeId>,
-    /// Past rounds' broadcast states (full `n`-vectors, faulty entries are
-    /// meaningless placeholders), oldest first; the back entry is the
-    /// current round. Empty when the script never replays.
-    ring: VecDeque<Vec<S>>,
-    /// Ring depth to retain: `max_lag + 1` (0 = no ring at all).
-    retain: usize,
-    /// Per-round fabrication cache: `(key, lease)` pairs, linear-scanned
-    /// (scripts fabricate a handful of distinct states per round).
-    cache: Vec<(u32, MessageSource)>,
-}
-
-impl<'s, S, R> ScriptedAdversary<'s, S, R> {
-    /// An adversary playing `script`, resolving raw moves through the
-    /// vocabulary `raw`.
-    pub fn new(script: &'s Script, raw: R) -> Self {
-        let max_lag = script.max_lag();
-        ScriptedAdversary {
-            faulty: normalize_faults(script.fault_set().iter().copied()),
-            script,
-            raw,
-            ring: VecDeque::new(),
-            retain: if max_lag == 0 { 0 } else { max_lag + 1 },
-            cache: Vec::new(),
-        }
-    }
-
-    /// The script being played.
-    pub fn script(&self) -> &'s Script {
-        self.script
-    }
-}
-
-impl<'s, S, R> std::fmt::Debug for ScriptedAdversary<'s, S, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScriptedAdversary")
-            .field("faulty", &self.faulty)
-            .field("rounds", &self.script.len())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Cache keys for the per-round fabrication cache.
-fn raw_key(g: usize, value: u8) -> u32 {
-    (1 << 24) | ((g as u32) << 8) | u32::from(value)
-}
-
-fn stale_key(lag: usize, salt: u8) -> u32 {
-    (2 << 24) | ((lag as u32) << 8) | u32::from(salt)
-}
-
-impl<'s, S, R> Adversary<S> for ScriptedAdversary<'s, S, R>
+/// An adversary that plays a [`Script`] verbatim on the scalar engine: its
+/// face schedule ([`SlicedScript`], `raw` resolved once into packed
+/// bundles) through [`FacedAdversary`]. Echo moves are zero-copy broadcast
+/// echoes, raw vocabulary states are pinned once per execution, and stale
+/// moves replay a ring of past broadcasts, fabricated at most once per
+/// (lag, donor) per round. The snapshot is the lasso position and the ring,
+/// so scripted runs take the early-decision exit.
+pub fn scripted<'s, S, R>(script: &'s Script, raw: R) -> FacedAdversary<SlicedScript<'s, S>, S>
 where
-    S: Clone + std::fmt::Debug,
+    S: Clone,
     R: RawState<S>,
 {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn begin_round(&mut self, ctx: &RoundContext<'_, S>, _pool: &mut StatePool<S>) {
-        self.cache.clear();
-        if self.retain == 0 {
-            return;
-        }
-        // Record this round's broadcast for future stale moves, recycling
-        // the buffer of the entry that falls out of the window (steady
-        // state allocates nothing; warm-up allocates once per ring slot).
-        let mut snapshot = if self.ring.len() >= self.retain {
-            self.ring.pop_front().expect("ring is non-empty")
-        } else {
-            Vec::new()
-        };
-        snapshot.clear();
-        snapshot.extend(ctx.honest.iter().cloned());
-        self.ring.push_back(snapshot);
-    }
-
-    fn message(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        ctx: &RoundContext<'_, S>,
-        pool: &mut StatePool<S>,
-    ) -> MessageSource {
-        let g = self
-            .faulty
-            .binary_search(&from)
-            .expect("message requested from a non-scripted node");
-        match self.script.move_at(ctx.round, g, to.index()) {
-            Move::Echo(salt) => MessageSource::Broadcast(donor_id(ctx, salt as usize)),
-            Move::Raw(value) => {
-                let key = raw_key(g, value);
-                if let Some(&(_, lease)) = self.cache.iter().find(|(k, _)| *k == key) {
-                    return lease;
-                }
-                let lease = pool.fabricate(self.raw.raw_state(from, value));
-                self.cache.push((key, lease));
-                lease
-            }
-            Move::Stale { lag, salt } => {
-                let donor = donor_id(ctx, salt as usize);
-                // The ring's back entry is the current round; clamp the lag
-                // to the observed history (warm-up).
-                let depth = (lag as usize).min(self.ring.len().saturating_sub(1));
-                if depth == 0 {
-                    return MessageSource::Broadcast(donor);
-                }
-                let key = stale_key(depth, salt);
-                if let Some(&(_, lease)) = self.cache.iter().find(|(k, _)| *k == key) {
-                    return lease;
-                }
-                let state = self.ring[self.ring.len() - 1 - depth][donor.index()].clone();
-                let lease = pool.fabricate(state);
-                self.cache.push((key, lease));
-                lease
-            }
-        }
-    }
-
-    fn snapshot(&self, round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {
-        // The script is playback data, constant for the execution; the
-        // evolving state is the lasso position (which determines every
-        // future position) and the replay ring. The per-round cache is
-        // recomputed from both every round.
-        if self.script.is_empty() {
-            out.word(0);
-        } else {
-            out.word(self.script.index_at(round) as u64 + 1);
-        }
-        out.word(self.ring.len() as u64);
-        for snapshot in &self.ring {
-            for node in 0..self.script.n() {
-                let id = NodeId::new(node);
-                if self.faulty.binary_search(&id).is_err() {
-                    out.state(id, &snapshot[node]);
-                }
-            }
-        }
-        SnapshotSupport::Deterministic
-    }
+    let faulty = normalize_faults(script.fault_set().iter().copied());
+    let vocabulary = raw_vocabulary(&raw, &faulty);
+    FacedAdversary::new(SlicedScript::new(script, vocabulary), 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::Move;
+    use sc_protocol::MessageSource;
     use sc_sim::testing::TestRound;
+    use sc_sim::{Adversary, AdversarySnapshot, SnapshotSupport, StatePool};
 
     /// A raw vocabulary over plain `u64` states: identity embedding.
     #[derive(Clone, Copy)]
@@ -263,7 +118,7 @@ mod tests {
     #[test]
     fn echo_moves_lease_broadcasts_without_fabricating() {
         let s = script(vec![vec![Move::Echo(0); 4]], 0);
-        let mut adv = ScriptedAdversary::new(&s, Ident);
+        let mut adv = scripted(&s, Ident);
         let round = TestRound::new(vec![10u64, 20, 30, 40], [1]);
         let mut pool = StatePool::new();
         let ctx = round.ctx(0);
@@ -274,26 +129,29 @@ mod tests {
     }
 
     #[test]
-    fn raw_moves_fabricate_once_per_value_per_round() {
+    fn raw_moves_pin_once_per_execution() {
         let s = script(vec![vec![Move::Raw(9); 4]], 0);
-        let mut adv = ScriptedAdversary::new(&s, Ident);
+        let mut adv = scripted(&s, Ident);
         let round = TestRound::new(vec![0u64; 4], [1]);
         let mut pool = StatePool::new();
-        let ctx = round.ctx(0);
-        adv.begin_round(&ctx, &mut pool);
-        let a = adv.message(NodeId::new(1), NodeId::new(0), &ctx, &mut pool);
-        let b = adv.message(NodeId::new(1), NodeId::new(2), &ctx, &mut pool);
-        let c = adv.message(NodeId::new(1), NodeId::new(3), &ctx, &mut pool);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert_eq!(pool.fabricated_total(), 1, "one fabrication, three leases");
-        assert_eq!(*pool.resolve(round.honest(), a), 9);
+        let mut leases = Vec::new();
+        for t in 0..2 {
+            pool.begin_round();
+            adv.begin_round(&round.ctx(t), &mut pool);
+            for to in [0usize, 2, 3] {
+                leases.push(adv.message(NodeId::new(1), NodeId::new(to), &round.ctx(t), &mut pool));
+            }
+        }
+        assert!(leases.iter().all(|&l| l == leases[0]), "one lease for all");
+        assert_eq!(pool.pinned().len(), 1, "one pin, six leases");
+        assert_eq!(pool.fabricated_total(), 0);
+        assert_eq!(*pool.resolve(round.honest(), leases[0]), 9);
     }
 
     #[test]
     fn stale_moves_replay_the_ring_and_clamp_warmup() {
         let s = script(vec![vec![Move::Stale { lag: 2, salt: 0 }; 4]], 0);
-        let mut adv = ScriptedAdversary::new(&s, Ident);
+        let mut adv = scripted(&s, Ident);
         let mut pool = StatePool::new();
 
         // Round 0: no history yet — degrades to an echo of the donor.
@@ -328,12 +186,12 @@ mod tests {
             ],
             0,
         );
-        let mut adv = ScriptedAdversary::new(&s, Ident);
+        let mut adv = scripted(&s, Ident);
         let mut pool = StatePool::new();
         let r0 = TestRound::new(vec![1u64, 2, 3, 4], [1]);
         adv.begin_round(&r0.ctx(0), &mut pool);
 
-        let capture = |adv: &ScriptedAdversary<'_, u64, Ident>, round: u64| {
+        let capture = |adv: &FacedAdversary<SlicedScript<'_, u64>, u64>, round: u64| {
             let mut bits = sc_protocol::BitVec::new();
             let mut encode =
                 |_: NodeId, s: &u64, out: &mut sc_protocol::BitVec| out.push_bits(*s, 64);

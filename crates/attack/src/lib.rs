@@ -10,11 +10,12 @@
 //! * **Scripts as data** — a [`Script`] fixes one [`Move`] per (round,
 //!   faulty sender, receiver) in lasso form, with a compact lossless codec
 //!   ([`Script::encode`] / [`Script::decode`]) and lossless import from
-//!   exhaustive-verifier witnesses ([`Script::from_witness`]). The
-//!   [`ScriptedAdversary`] executes any script on the live engine over the
-//!   borrow-based message plane, and snapshots
+//!   exhaustive-verifier witnesses ([`Script::from_witness`]). A script is
+//!   a face schedule ([`SlicedScript`]): [`scripted`] plays it on the live
+//!   scalar engine through [`sc_sim::FacedAdversary`], which snapshots
 //!   ([`sc_sim::Adversary::snapshot`]) so scripted runs ride the
-//!   early-decision exit.
+//!   early-decision exit, and the bit-sliced engine runs it 64 scenarios
+//!   per word.
 //! * **An objective harness** — [`Objective`] scores a script (or any
 //!   adversary, for comparison) by the stabilisation [`Delay`] it inflicts
 //!   on a fixed `(seed, fault set)` sweep, with
@@ -51,7 +52,7 @@
 //! Replay a model-checker witness on the live simulator through a script:
 //!
 //! ```
-//! use sc_attack::{Script, ScriptedAdversary};
+//! use sc_attack::{scripted, Script};
 //! use sc_core::{Algorithm, CounterState, LutSpec};
 //! use sc_sim::Simulation;
 //! use sc_verifier::{verify, Verdict};
@@ -83,7 +84,7 @@
 //! for (hi, &node) in witness.honest.iter().enumerate() {
 //!     states[node] = CounterState::new(witness.configs[0][hi].into());
 //! }
-//! let adversary = ScriptedAdversary::new(&script, &algo);
+//! let adversary = scripted(&script, &algo);
 //! let mut sim = Simulation::with_states(&algo, adversary, states, 0);
 //! sim.step();
 //! for (hi, &node) in witness.honest.iter().enumerate() {
@@ -102,7 +103,7 @@ mod script;
 pub mod search;
 mod sliced;
 
-pub use adversary::{RawState, SampledRaw, ScriptedAdversary};
+pub use adversary::{scripted, RawState, SampledRaw};
 pub use objective::{Delay, Objective};
 pub use prefilter::{AttackPreFilter, FilterMeter};
 pub use script::{Move, MoveSpace, Script};

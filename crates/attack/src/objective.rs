@@ -6,12 +6,13 @@ use std::sync::{Arc, Mutex};
 use sc_protocol::{Counter, Fingerprint, NodeId, SyncProtocol};
 use sc_sim::adversaries::normalize_faults;
 use sc_sim::{
-    required_confirmation, Adversary, Scenario, SimError, Simulation, SlicedBatch, SlicedProtocol,
+    required_confirmation, Adversary, FacedAdversary, PackedInit, Scenario, SimError, Simulation,
+    SlicedBatch, SlicedProtocol,
 };
 
-use crate::adversary::{RawState, ScriptedAdversary};
+use crate::adversary::RawState;
 use crate::script::Script;
-use crate::sliced::SlicedScript;
+use crate::sliced::{raw_vocabulary, SlicedScript};
 
 /// A pre-bound sliced evaluator: scores a script by advancing every
 /// scenario 64-per-word through one shared compiled model.
@@ -67,6 +68,9 @@ pub struct Objective<'a, P: SyncProtocol, R> {
     /// a pre-bound evaluator advancing all scenarios 64-per-word through
     /// one shared compiled model. `None` runs scripts on the scalar engine.
     sliced: Option<SlicedEval<'a>>,
+    /// The raw vocabulary as [`SlicedScript`]'s packed bundles, resolved
+    /// once for every script either engine scores (and shared by clones).
+    vocabulary: Arc<[PackedInit<P::State>]>,
 }
 
 impl<'a, P: SyncProtocol, R: Clone> Clone for Objective<'a, P, R> {
@@ -79,6 +83,7 @@ impl<'a, P: SyncProtocol, R: Clone> Clone for Objective<'a, P, R> {
             inits: self.inits.clone(),
             evaluations: self.evaluations,
             sliced: self.sliced.clone(),
+            vocabulary: self.vocabulary.clone(),
         }
     }
 }
@@ -110,14 +115,10 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         fault_set: Vec<usize>,
         seeds: impl IntoIterator<Item = u64>,
         horizon: u64,
-    ) -> Result<Self, SimError> {
-        let confirm = required_confirmation(protocol.modulus());
-        if horizon < confirm {
-            return Err(SimError::HorizonTooShort {
-                horizon,
-                required: confirm,
-            });
-        }
+    ) -> Result<Self, SimError>
+    where
+        R: RawState<P::State>,
+    {
         use rand::SeedableRng;
         let inits = seeds
             .into_iter()
@@ -129,15 +130,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
                 (seed, states)
             })
             .collect();
-        Ok(Objective {
-            protocol,
-            raw,
-            fault_set,
-            horizon,
-            inits,
-            evaluations: 0,
-            sliced: None,
-        })
+        Self::with_inits(protocol, raw, fault_set, inits, horizon)
     }
 
     /// [`Objective::new`] with the initial configurations supplied instead
@@ -156,7 +149,10 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         fault_set: Vec<usize>,
         inits: Vec<(u64, Vec<P::State>)>,
         horizon: u64,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, SimError>
+    where
+        R: RawState<P::State>,
+    {
         let confirm = required_confirmation(protocol.modulus());
         if horizon < confirm {
             return Err(SimError::HorizonTooShort {
@@ -164,6 +160,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
                 required: confirm,
             });
         }
+        let vocabulary = raw_vocabulary(&raw, &normalize_faults(fault_set.iter().copied())).into();
         Ok(Objective {
             protocol,
             raw,
@@ -172,6 +169,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
             inits,
             evaluations: 0,
             sliced: None,
+            vocabulary,
         })
     }
 
@@ -269,13 +267,8 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         let Some(model) = self.protocol.sliced_model(&faulty) else {
             return false;
         };
-        // Pre-resolve the dense raw vocabulary once: `SlicedScript` maps
-        // `Raw(v)` of sender `g` to packed id `g·256 + v`, so the rows must
-        // be identical for every script this model ever sees.
-        let raw_states: Vec<Vec<P::State>> = faulty
-            .iter()
-            .map(|&node| (0..=u8::MAX).map(|v| self.raw.raw_state(node, v)).collect())
-            .collect();
+        // One vocabulary for every script this model sees (ids `g·256 + v`).
+        let vocabulary = self.vocabulary.clone();
         let scenarios: Vec<Scenario<P::State>> = self
             .inits
             .iter()
@@ -288,7 +281,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         // evaluation is already one task of the search's own thread fan-out,
         // and sweeps are scored serially on the scalar path too.
         self.sliced = Some(Arc::new(move |script: &Script| {
-            let strategy = SlicedScript::new(script, &raw_states);
+            let strategy = SlicedScript::new(script, &vocabulary[..]);
             let report = SlicedBatch::new(protocol, horizon)
                 .lane_words(1)
                 .threads(1)
@@ -320,12 +313,12 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
             self.evaluations += 1;
             return delay;
         }
-        let raw = &self.raw;
+        let vocabulary = &self.vocabulary;
         let delay = sweep(
             self.protocol,
             &self.inits,
             self.horizon,
-            |_| ScriptedAdversary::new(script, raw),
+            |_| FacedAdversary::new(SlicedScript::new(script, &vocabulary[..]), 0),
             |sim, horizon| sim.run_until_stable_early(horizon).0,
         );
         self.evaluations += 1;
@@ -343,12 +336,12 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         R: RawState<P::State>,
     {
         self.check_script(script);
-        let raw = &self.raw;
+        let vocabulary = &self.vocabulary;
         let delay = sweep(
             self.protocol,
             &self.inits,
             self.horizon,
-            |_| ScriptedAdversary::new(script, raw),
+            |_| FacedAdversary::new(SlicedScript::new(script, &vocabulary[..]), 0),
             Simulation::run_until_stable,
         );
         self.evaluations += 1;

@@ -9,7 +9,7 @@
 //! forever, so a finite table describes an infinite adversary.
 //!
 //! Treating the adversary as data is what makes worst-case *search*
-//! possible: [`crate::ScriptedAdversary`] executes any script on the live
+//! possible: [`crate::scripted`] executes any script on the live
 //! engine, the [`crate::Objective`] harness scores it by stabilisation
 //! delay, and the strategies in [`crate::search`] edit scripts **in place**
 //! ([`Script::set_move`] returns the previous move for undo) — the
@@ -144,8 +144,9 @@ impl Script {
     /// # Errors
     ///
     /// Returns [`ParamError`] when a faulty id is out of range or
-    /// duplicated, a round's table has the wrong width, or `cycle_start`
-    /// does not leave a non-empty cycle.
+    /// duplicated, the fault set leaves no correct node (echo and stale
+    /// moves need a donor), a round's table has the wrong width, or
+    /// `cycle_start` does not leave a non-empty cycle.
     pub fn new(
         n: usize,
         fault_set: Vec<usize>,
@@ -160,6 +161,11 @@ impl Script {
         if fault_set.iter().any(|&v| v >= n) {
             return Err(ParamError::constraint(
                 "script fault set names a node outside the network",
+            ));
+        }
+        if !fault_set.is_empty() && fault_set.len() >= n {
+            return Err(ParamError::constraint(
+                "a script's fault set must leave a correct node",
             ));
         }
         let width = fault_set.len() * n;
@@ -218,7 +224,7 @@ impl Script {
     /// Imports a verifier [`Witness`] lasso **losslessly**: every Byzantine
     /// value `byz[t][h][g]` becomes a [`Move::Raw`] at the matching (round,
     /// sender, receiver) slot, and the cycle wraps at the witness's
-    /// `cycle_start` — replayed through a [`crate::ScriptedAdversary`] with
+    /// `cycle_start` — replayed through [`crate::scripted`] with
     /// an exact raw vocabulary, the live execution visits the witness's
     /// configurations forever.
     pub fn from_witness(witness: &Witness) -> Script {
@@ -289,7 +295,13 @@ impl Script {
     /// plays against receiver `to` at round `t`.
     #[inline]
     pub fn move_at(&self, t: u64, g: usize, to: usize) -> Move {
-        self.rounds[self.index_at(t)][g * self.n + to]
+        self.round_at(t)[g * self.n + to]
+    }
+
+    /// The whole move table of round `t`, `[g * n + to]`.
+    #[inline]
+    pub(crate) fn round_at(&self, t: u64) -> &[Move] {
+        &self.rounds[self.index_at(t)]
     }
 
     /// Replaces one move in place and returns the previous one — the

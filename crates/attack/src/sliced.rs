@@ -1,81 +1,85 @@
-//! Scripted attacks on the bit-sliced plane: [`SlicedScript`] translates a
-//! [`Script`] into the face tables of [`sc_sim::SlicedStrategy`], so one
-//! objective sweep advances 64 scenarios per word instead of one.
+//! Scripted attacks as face schedules: [`SlicedScript`] translates a
+//! [`Script`] into the face tables of [`sc_sim::SlicedStrategy`], so the
+//! bit-sliced engine advances 64 scenarios per word under it and
+//! [`crate::scripted`] plays it on the scalar engine through
+//! [`sc_sim::FacedAdversary`].
 //!
 //! The translation is semantics-preserving move by move:
 //!
 //! * [`Move::Echo`]`(salt)` → [`FaceRef::Honest`] of the `salt`-th correct
-//!   node — the donor rule of [`sc_sim::adversaries::donor_id`], which the
-//!   scalar [`crate::ScriptedAdversary`] uses;
+//!   node — the donor rule of [`sc_sim::adversaries::donor_id`];
 //! * [`Move::Raw`]`(v)` → [`FaceRef::Packed`] naming a lane-uniform bundle
 //!   holding the vocabulary state `raw_state(sender, v)`. The packed id is
 //!   `g · 256 + v` — a *fixed* map over the full `u8` vocabulary, so every
 //!   script evaluated against one compiled model agrees on what each id
 //!   holds (the model asserts re-registrations are consistent);
 //! * [`Move::Stale`]`{lag, salt}` → [`FaceRef::Ring`] of the same donor;
-//!   the engine clamps the lag to the observed history and rewrites lag 0
-//!   to an echo, exactly the scalar warm-up rule.
+//!   both engines clamp the lag to the observed history and turn lag 0
+//!   into an echo.
 //!
 //! Scripts cannot express per-lane variation, so the whole table is
 //! lane-uniform — the cheapest kind of sliced strategy: no gather tables,
 //! and every raw bundle folds into compile-time constants.
 
+use std::borrow::Cow;
+
 use sc_protocol::{FaceRef, NodeId, RoundFaces};
-use sc_sim::adversaries::normalize_faults;
+use sc_sim::adversaries::{donor_id, normalize_faults};
 use sc_sim::{PackedInit, SlicedStrategy};
 
+use crate::adversary::RawState;
 use crate::script::{Move, Script};
 
 /// Dense raw-vocabulary stride of the packed-id map: faulty sender `g`'s
 /// value `v` lives at packed id `g * RAW_STRIDE + v`.
 const RAW_STRIDE: usize = 256;
 
-/// A [`Script`] as a lane-uniform [`SlicedStrategy`]: the sliced twin of
-/// [`crate::ScriptedAdversary`], with verdict-identical executions
-/// (property-tested through [`crate::Objective`]'s two evaluation paths).
-pub struct SlicedScript<'s, S> {
-    script: &'s Script,
-    faulty: Vec<NodeId>,
-    honest: Vec<u32>,
-    /// `raw_states[g][v]`: the vocabulary state faulty sender `g` fabricates
-    /// for [`Move::Raw`]`(v)`, pre-resolved over the full `u8` range.
-    raw_states: &'s [Vec<S>],
+/// The raw vocabulary of `faulty` as [`SlicedScript`]'s packed bundles:
+/// one lane-uniform bundle per (sender, `u8` value), at id
+/// `g · 256 + v`.
+pub(crate) fn raw_vocabulary<S, R: RawState<S>>(raw: &R, faulty: &[NodeId]) -> Vec<PackedInit<S>> {
+    faulty
+        .iter()
+        .flat_map(|&node| {
+            (0..=u8::MAX).map(move |v| PackedInit::Uniform {
+                node,
+                state: raw.raw_state(node, v),
+            })
+        })
+        .collect()
 }
 
-impl<'s, S> SlicedScript<'s, S> {
-    /// Wraps `script` over a pre-resolved raw vocabulary (one dense
-    /// 256-entry row per faulty sender, in fault-set order).
+/// A [`Script`] as a lane-uniform face schedule ([`SlicedStrategy`]), for
+/// the bit-sliced and — through [`crate::scripted`] — the scalar engine.
+pub struct SlicedScript<'s, S: Clone> {
+    script: &'s Script,
+    faulty: Vec<NodeId>,
+    /// The raw vocabulary as packed bundles, `g · 256 + v`.
+    vocabulary: Cow<'s, [PackedInit<S>]>,
+}
+
+impl<'s, S: Clone> SlicedScript<'s, S> {
+    /// Wraps `script` over a resolved raw vocabulary — one lane-uniform
+    /// bundle per (faulty sender, `u8` value), sender-major — borrowed
+    /// (an objective resolves it once for every script it scores) or owned.
     ///
     /// # Panics
     ///
-    /// Panics when `raw_states` does not hold exactly one full row per
+    /// Panics when `vocabulary` does not hold exactly 256 bundles per
     /// faulty sender.
-    pub fn new(script: &'s Script, raw_states: &'s [Vec<S>]) -> Self {
+    pub fn new(script: &'s Script, vocabulary: impl Into<Cow<'s, [PackedInit<S>]>>) -> Self {
+        let vocabulary = vocabulary.into();
         let faulty = normalize_faults(script.fault_set().iter().copied());
         assert_eq!(
-            raw_states.len(),
-            faulty.len(),
-            "one raw vocabulary row per faulty sender"
+            vocabulary.len(),
+            faulty.len() * RAW_STRIDE,
+            "raw vocabulary must cover the full u8 range of every faulty sender"
         );
-        assert!(
-            raw_states.iter().all(|row| row.len() == RAW_STRIDE),
-            "raw vocabulary rows must cover the full u8 range"
-        );
-        let honest = (0..script.n() as u32)
-            .filter(|&v| faulty.binary_search(&NodeId::new(v as usize)).is_err())
-            .collect();
         SlicedScript {
             script,
             faulty,
-            honest,
-            raw_states,
+            vocabulary,
         }
-    }
-
-    /// The `salt`-th correct node — [`sc_sim::adversaries::donor_id`] on the
-    /// sliced plane.
-    fn donor(&self, salt: u8) -> u32 {
-        self.honest[salt as usize % self.honest.len()]
     }
 }
 
@@ -88,32 +92,38 @@ impl<'s, S: Clone> SlicedStrategy<S> for SlicedScript<'s, S> {
         self.script.max_lag()
     }
 
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
-        self.faulty
-            .iter()
-            .zip(self.raw_states)
-            .flat_map(|(&node, row)| {
-                row.iter().map(move |state| PackedInit::Uniform {
-                    node,
-                    state: state.clone(),
-                })
-            })
-            .collect()
+    fn packed_bundles(&self) -> &[PackedInit<S>] {
+        &self.vocabulary
     }
 
     fn faces(&self, round: u64, n: usize, faces: &mut RoundFaces) {
+        if self.faulty.is_empty() {
+            return;
+        }
+        let moves = self.script.round_at(round);
+        let donor = |salt: u8| donor_id(&self.faulty, n, salt as usize).index() as u32;
         for g in 0..self.faulty.len() {
             for to in 0..n {
-                faces.rows[g * n + to] = match self.script.move_at(round, g, to) {
-                    Move::Echo(salt) => FaceRef::Honest(self.donor(salt)),
+                faces.rows[g * n + to] = match moves[g * n + to] {
+                    Move::Echo(salt) => FaceRef::Honest(donor(salt)),
                     Move::Raw(value) => FaceRef::Packed((g * RAW_STRIDE + value as usize) as u16),
                     Move::Stale { lag, salt } => FaceRef::Ring {
                         lag,
-                        donor: self.donor(salt),
+                        donor: donor(salt),
                     },
                 };
             }
         }
+    }
+
+    fn phase(&self, round: u64) -> Option<u64> {
+        // The lasso position: it fixes this round's moves and every later
+        // position (an empty script never moves).
+        Some(if self.script.is_empty() {
+            0
+        } else {
+            self.script.index_at(round) as u64
+        })
     }
 }
 
@@ -121,14 +131,19 @@ impl<'s, S: Clone> SlicedStrategy<S> for SlicedScript<'s, S> {
 mod tests {
     use super::*;
 
-    fn raw_rows(f: usize) -> Vec<Vec<u64>> {
-        (0..f)
-            .map(|g| {
-                (0..RAW_STRIDE as u64)
-                    .map(|v| g as u64 * 1000 + v)
-                    .collect()
-            })
-            .collect()
+    /// `raw_state(g-th sender, v) = g · 1000 + v`.
+    struct Thousands(Vec<NodeId>);
+
+    impl RawState<u64> for Thousands {
+        fn raw_state(&self, node: NodeId, value: u8) -> u64 {
+            let g = self.0.iter().position(|&id| id == node).unwrap() as u64;
+            g * 1000 + u64::from(value)
+        }
+    }
+
+    fn raw_rows(faulty: &[usize]) -> Vec<PackedInit<u64>> {
+        let ids = normalize_faults(faulty.iter().copied());
+        raw_vocabulary(&Thousands(ids.clone()), &ids)
     }
 
     #[test]
@@ -145,9 +160,9 @@ mod tests {
             0,
         )
         .unwrap();
-        let rows = raw_rows(1);
+        let rows = raw_rows(&[1]);
         let strategy = SlicedScript::new(&script, &rows);
-        assert_eq!(strategy.max_lag(), 2);
+        assert_eq!(SlicedStrategy::<u64>::max_lag(&strategy), 2);
         let mut faces = RoundFaces::new(1, 4);
         strategy.faces(0, 4, &mut faces);
         // Honest nodes are {0, 2, 3}: salt 0 → 0, salt 1 → 2, salt 5 → 3.
@@ -164,7 +179,7 @@ mod tests {
     #[test]
     fn packed_ids_use_the_dense_per_sender_stride() {
         let script = Script::new(4, vec![0, 2], vec![vec![Move::Raw(3); 8]], 0).unwrap();
-        let rows = raw_rows(2);
+        let rows = raw_rows(&[0, 2]);
         let strategy = SlicedScript::new(&script, &rows);
         let bundles = strategy.packed_bundles();
         assert_eq!(bundles.len(), 2 * RAW_STRIDE);

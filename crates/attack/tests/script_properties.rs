@@ -1,6 +1,7 @@
 //! Property coverage for script round-tripping:
 //!
-//! * the `Script` codec is lossless on arbitrary scripts,
+//! * the `Script` codec is lossless on arbitrary scripts, rejects every
+//!   truncation, and rejects scripts that leave no correct node,
 //! * witness-imported scripts replay to the witness's configurations on the
 //!   live engine,
 //! * a mutated script's early-decision objective equals a from-scratch
@@ -9,7 +10,7 @@
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sc_attack::{MoveSpace, Objective, SampledRaw, Script};
+use sc_attack::{Move, MoveSpace, Objective, SampledRaw, Script};
 use sc_core::{Algorithm, CounterState, LutCounter, LutSpec};
 use sc_protocol::BitVec;
 use sc_sim::testing::FollowMax;
@@ -55,6 +56,55 @@ proptest! {
         prop_assert_eq!(bits.len(), bits2.len());
         prop_assert_eq!(bits.words(), bits2.words());
     }
+
+    /// Every strict prefix of an encoding fails to decode.
+    #[test]
+    fn script_truncations_never_decode(seed in proptest::any::<u64>()) {
+        let script = random_script(seed);
+        let mut bits = BitVec::new();
+        script.encode(&mut bits);
+        let mut prefix = BitVec::new();
+        for i in 0..bits.len() {
+            prop_assert!(
+                Script::decode(&mut prefix.reader()).is_err(),
+                "a {}-bit prefix of a {}-bit script decoded", i, bits.len()
+            );
+            prefix.push_bit(bits.bit(i));
+        }
+    }
+}
+
+/// The encoding of `Script::new(2, vec![0, 1], vec![vec![Move::Echo(0); 4]],
+/// 0)` — a script whose fault set is the whole network, so its echo moves
+/// have no donor — as the codec wrote it when such scripts were accepted:
+/// bit length and MSB-first words.
+const ALL_FAULTY_SCRIPT: (usize, [u64; 3]) =
+    (160, [0x0002_0200_0000_0100, 0x0000_0100_0000_0000, 0]);
+
+/// A bit string from its length and MSB-first words.
+fn from_words(len: usize, words: &[u64]) -> BitVec {
+    let mut bits = BitVec::new();
+    for i in 0..len {
+        bits.push_bit(words[i / 64] >> (63 - i % 64) & 1 == 1);
+    }
+    bits
+}
+
+#[test]
+fn scripts_must_leave_a_correct_node() {
+    let all_faulty = Script::new(2, vec![0, 1], vec![vec![Move::Echo(0); 4]], 0);
+    assert!(
+        all_faulty.is_err(),
+        "constructor accepts a donor-less script"
+    );
+    let (len, words) = ALL_FAULTY_SCRIPT;
+    let bits = from_words(len, &words);
+    assert!(
+        Script::decode(&mut bits.reader()).is_err(),
+        "codec accepts a donor-less script"
+    );
+    // The empty fault set is still fine: it never needs a donor.
+    assert!(Script::new(2, vec![], vec![], 0).is_ok());
 }
 
 /// Random `n = 4, f = 1` two-state LUT, exactly like the verifier cross
@@ -97,7 +147,7 @@ proptest! {
         for (hi, &node) in witness.honest.iter().enumerate() {
             states[node] = CounterState::new(witness.configs[0][hi].into());
         }
-        let adversary = sc_attack::ScriptedAdversary::new(&script, &algo);
+        let adversary = sc_attack::scripted(&script, &algo);
         let mut sim = Simulation::with_states(&algo, adversary, states, 0);
         let steps = witness.byz.len();
         let cycle = steps - witness.cycle_start;

@@ -90,7 +90,11 @@ impl Adversary<CounterState> for BadKing<'_> {
         // Materialise both faces once for the whole round: every receiver of
         // the same parity leases the same fabricated state.
         let mut face = |a: u64, rng: &mut SmallRng| {
-            let donor = donor_id(ctx, rng.random_range(0..usize::MAX));
+            let donor = donor_id(
+                ctx.faulty,
+                ctx.honest.len(),
+                rng.random_range(0..usize::MAX),
+            );
             let inner = counter.inner_of(ctx.honest[donor.index()]);
             let d = rng.random_bool(0.5);
             pool.fabricate(counter.with(inner, PkRegisters::new(a, d)))
@@ -164,7 +168,7 @@ impl Adversary<CounterState> for PointerSplit<'_> {
         pool: &mut StatePool<CounterState>,
     ) -> MessageSource {
         let (counter, p) = (self.counter, self.counter.params());
-        let donor_state = ctx.honest[donor_id(ctx, to.index()).index()];
+        let donor_state = ctx.honest[donor_id(ctx.faulty, ctx.honest.len(), to.index()).index()];
         let Algorithm::Trivial(inner) = counter.inner() else {
             // Deep inner counters: donor mirroring with scrambled registers.
             let a = self.rng.random_range(0..p.c_out());

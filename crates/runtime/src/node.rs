@@ -82,7 +82,8 @@ pub struct NodeCore<'p, P: Counter + PreparedProtocol> {
     rng: SmallRng,
     fault: Option<FaultEntry>,
     /// For `Scripted`: ring of observed rounds' state vectors, oldest
-    /// first, back = current round (mirrors `ScriptedAdversary`).
+    /// first, back = current round (the ring of the simulator's scripted
+    /// adversary, `sc_attack::scripted`).
     ring: VecDeque<Vec<P::State>>,
     retain: usize,
     /// Index of this node within the script's fault set.
@@ -300,7 +301,8 @@ impl<'p, P: Counter + PreparedProtocol + RawState<P::State>> NodeCore<'p, P> {
     }
 
     /// Scripted publish: per receiver, resolve the script's move against
-    /// the donor ring exactly as `ScriptedAdversary` does.
+    /// the donor ring exactly as the simulator's `sc_attack::scripted`
+    /// face schedule does.
     pub fn publish_scripted(&mut self, plane: &MailboxPlane, round: u64) {
         // If max_lag == 0 no ring is kept; echo moves still need the
         // current round's states.

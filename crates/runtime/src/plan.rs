@@ -32,7 +32,8 @@ pub enum FaultKind {
     /// Replays an `sc-attack` [`Script`] witness live: each round the
     /// node observes the honest nodes' current states, then publishes to
     /// each receiver whatever the script's move table dictates
-    /// (echo/raw/stale), exactly as `ScriptedAdversary` would fabricate.
+    /// (echo/raw/stale), exactly as `sc_attack::scripted` plays it on the
+    /// simulator.
     Scripted(Script),
 }
 

@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sc_attack::{MoveSpace, Script, ScriptedAdversary};
+use sc_attack::{scripted, MoveSpace, Script};
 use sc_core::{Algorithm, CounterBuilder};
 use sc_protocol::{Counter, SyncProtocol};
 use sc_runtime::{run_deterministic, FaultEntry, FaultKind, FaultPlan, MonitorCore, RuntimeConfig};
@@ -87,7 +87,7 @@ fn scripted_witness_matches_scripted_adversary() {
     let report = run_deterministic(&algo, &config(plan, horizon, seed)).expect("valid config");
 
     let states = sc_runtime::node::initial_states(&algo, seed);
-    let adversary = ScriptedAdversary::new(&script, &algo);
+    let adversary = scripted(&script, &algo);
     let mut sim = Simulation::with_states(&algo, adversary, states, seed);
     let trace = sim.run_trace(horizon - 1);
 
@@ -98,7 +98,7 @@ fn scripted_witness_matches_scripted_adversary() {
         assert_eq!(
             row,
             trace.row(r),
-            "round {r}: scripted live replay must equal ScriptedAdversary"
+            "round {r}: scripted live replay must equal the simulator's scripted adversary"
         );
     }
 }

@@ -116,30 +116,44 @@ proptest! {
         prop_assert_eq!(&FaultPlan::decode(&mut bits.reader()).unwrap(), &plan);
     }
 
-    /// Every proper prefix of an encoding fails to decode losslessly:
-    /// either a typed error, or (if a prefix happens to parse) a plan
-    /// different from the original — never silent garbage equality.
+    /// Every strict prefix of an encoding fails to decode with a typed
+    /// error.
     #[test]
     fn truncation_never_decodes_to_the_original(seed in proptest::any::<u64>()) {
         let plan = random_plan(seed);
         let mut bits = BitVec::new();
         plan.encode(&mut bits);
-        if bits.is_empty() {
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
-        for _ in 0..8 {
-            let keep = rng.random_range(0..bits.len());
-            let mut truncated = BitVec::new();
-            for i in 0..keep {
-                truncated.push_bit(bits.bit(i));
-            }
-            if let Ok(back) = FaultPlan::decode(&mut truncated.reader()) {
-                prop_assert!(
-                    back != plan,
-                    "a strict prefix must not decode to the original plan"
-                );
-            }
+        let mut prefix = BitVec::new();
+        for i in 0..bits.len() {
+            prop_assert!(
+                FaultPlan::decode(&mut prefix.reader()).is_err(),
+                "a {}-bit prefix of a {}-bit plan decoded", i, bits.len()
+            );
+            prefix.push_bit(bits.bit(i));
         }
     }
+}
+
+/// A plan of `n = 2` whose one `Scripted` entry (node 0) carries
+/// `Script::new(2, vec![0, 1], vec![vec![Move::Echo(0); 4]], 0)` — a script
+/// whose fault set is the whole network — as the codec wrote it when such
+/// plans were accepted: bit length and MSB-first words.
+const ALL_FAULTY_PLAN: (usize, [u64; 4]) = (
+    236,
+    [
+        0x0002_0100_0000_0000,
+        0x0040_0020_2000_0000,
+        0x1000_0000_1000_0000,
+        0,
+    ],
+);
+
+#[test]
+fn plans_reject_a_script_without_a_correct_node() {
+    let (len, words) = ALL_FAULTY_PLAN;
+    let mut bits = BitVec::new();
+    for i in 0..len {
+        bits.push_bit(words[i / 64] >> (63 - i % 64) & 1 == 1);
+    }
+    assert!(FaultPlan::decode(&mut bits.reader()).is_err());
 }

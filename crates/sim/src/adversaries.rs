@@ -15,28 +15,34 @@
 //!   votes,
 //! * [`replay`] — lagged copies of honest states, attacking counters
 //!   specifically (stale counter values are plausible values),
-//! * [`fixed`] — a caller-chosen constant state (building block for tests).
+//! * [`fixed`] — a caller-chosen constant state (building block for tests),
+//! * [`two_faced_periodic`] / [`random_periodic`] — the equivocation and
+//!   noise attacks replayed from a seed-derived periodic schedule, so that
+//!   they snapshot and keep the early-decision exit.
 //!
-//! All strategies speak the borrow-based message plane: they return
-//! [`MessageSource`] leases, so echo/equivocation attacks deliver without a
-//! single clone and fabricated states are materialised once per round (or
-//! once per execution, for frozen values) into the engine's [`StatePool`].
-//! The module also exports the strategy building blocks shared with the
-//! advanced strategies ([`crate::sleeper`], [`crate::greedy`]) and
+//! The oblivious ones ([`crash`], [`replay`], [`fixed`] and the periodic
+//! variants) are face schedules ([`crate::SlicedStrategy`]) played by
+//! [`FacedAdversary`], the same schedules the bit-sliced engine runs; only
+//! the adaptive ones, which read the round's states, are [`Adversary`]
+//! impls. All return [`MessageSource`]
+//! leases, so echo/equivocation attacks deliver without a single clone and
+//! fabricated states are materialised once per round (or once per
+//! execution, for frozen values) into the engine's [`StatePool`]. The
+//! building blocks shared with [`crate::sleeper`], [`crate::greedy`] and
 //! `sc-core::adversaries` — [`normalize_faults`], [`donor_id`] and the
-//! parity-equivocation [`FacePair`] — so each pattern has exactly one
-//! implementation in the workspace.
+//! parity-equivocation [`FacePair`] — have exactly one implementation in
+//! the workspace.
 //!
 //! Counter-*structure-aware* attacks (king impersonation, pointer splitting)
 //! live in `sc-core::adversaries`, next to the state types they inspect.
-
-use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_protocol::{MessageSource, NodeId, SyncProtocol};
 
 use crate::adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport};
+use crate::faced::FacedAdversary;
+use crate::sliced::{sliced_crash, SlicedPalette, SlicedReplay, SlicedTwoFacedPeriodic};
 use crate::workspace::StatePool;
 
 /// Sorts, deduplicates and wraps raw faulty indices — the canonical
@@ -48,18 +54,24 @@ pub fn normalize_faults(faulty: impl IntoIterator<Item = usize>) -> Vec<NodeId> 
     ids
 }
 
-/// The `salt`-th correct node (rotating through the honest set) — the shared
+/// The `salt`-th correct node (rotating through the honest set) of an
+/// `n`-node network with sorted fault set `faulty` — the shared
 /// donor-selection rule of echo, replay and structure-aware mirroring
-/// strategies.
+/// strategies, adaptive or face schedules.
 ///
 /// # Panics
 ///
 /// Panics if no node is correct.
-pub fn donor_id<S>(ctx: &RoundContext<'_, S>, salt: usize) -> NodeId {
-    let count = ctx.honest_count().max(1);
-    ctx.honest_ids()
-        .nth(salt % count)
-        .expect("at least one correct node")
+pub fn donor_id(faulty: &[NodeId], n: usize, salt: usize) -> NodeId {
+    assert!(faulty.len() < n, "at least one correct node");
+    let mut node = salt % (n - faulty.len());
+    for id in faulty {
+        if id.index() > node {
+            break;
+        }
+        node += 1;
+    }
+    NodeId::new(node)
 }
 
 /// A pair of per-round message leases assigned to receivers by index parity
@@ -131,80 +143,14 @@ impl<S> Adversary<S> for NoFaults {
 ///
 /// This is the *weakest* Byzantine behaviour — it cannot equivocate — and is
 /// mainly useful to check that algorithms do not rely on faulty nodes
-/// participating. On the borrowed message plane the frozen states are
-/// pinned into the pool at the first round and leased from then on: the
-/// whole execution materialises each of them exactly once.
+/// participating. Each frozen state is pinned the first time it is shown:
+/// the whole execution materialises each of them exactly once.
 pub fn crash<P: SyncProtocol>(
     protocol: &P,
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
-) -> Crash<P::State> {
-    let ids = normalize_faults(faulty);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let frozen = ids
-        .iter()
-        .map(|&id| protocol.random_state(id, &mut rng))
-        .collect();
-    Crash {
-        faulty: ids,
-        frozen,
-        leases: Vec::new(),
-    }
-}
-
-/// Adversary produced by [`crash`].
-///
-/// Deliberately not `Clone`: after the first round the frozen states have
-/// been drained into one execution's pool, and a copy would hand out leases
-/// against a pool that never issued them. Construct a fresh instance per
-/// execution.
-#[derive(Debug)]
-pub struct Crash<S> {
-    faulty: Vec<NodeId>,
-    /// Frozen states, moved into the pool at the first `begin_round`.
-    frozen: Vec<S>,
-    /// Pinned leases, parallel to `faulty`, once issued.
-    leases: Vec<MessageSource>,
-}
-
-impl<S: Clone + std::fmt::Debug> Adversary<S> for Crash<S> {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn begin_round(&mut self, _ctx: &RoundContext<'_, S>, pool: &mut StatePool<S>) {
-        if !self.frozen.is_empty() {
-            self.leases = self.frozen.drain(..).map(|s| pool.pin(s)).collect();
-        }
-    }
-
-    fn message(
-        &mut self,
-        from: NodeId,
-        _to: NodeId,
-        _ctx: &RoundContext<'_, S>,
-        _pool: &mut StatePool<S>,
-    ) -> MessageSource {
-        let idx = self
-            .faulty
-            .binary_search(&from)
-            .expect("message requested from a non-faulty node");
-        self.leases[idx]
-    }
-
-    fn snapshot(&self, _round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {
-        // Before the first round the frozen states are still queued; after,
-        // they live in the execution's immutable pinned pool and the leases
-        // are their faithful stand-ins.
-        out.word(self.frozen.len() as u64);
-        for (id, state) in self.faulty.iter().zip(&self.frozen) {
-            out.state(*id, state);
-        }
-        for lease in &self.leases {
-            out.source(*lease);
-        }
-        SnapshotSupport::Deterministic
-    }
+) -> FacedAdversary<SlicedPalette<P::State>, P::State> {
+    FacedAdversary::new(sliced_crash(protocol, faulty, &[seed]), 0)
 }
 
 /// Fully random Byzantine noise: a fresh arbitrary state for every
@@ -344,8 +290,8 @@ impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for TwoFaced<F> {
             let ia = self.rng.random_range(0..count);
             let ib = self.rng.random_range(0..count);
             FacePair {
-                even: MessageSource::Broadcast(donor_id(ctx, ia)),
-                odd: MessageSource::Broadcast(donor_id(ctx, ib)),
+                even: MessageSource::Broadcast(donor_id(ctx.faulty, ctx.honest.len(), ia)),
+                odd: MessageSource::Broadcast(donor_id(ctx.faulty, ctx.honest.len(), ib)),
             }
         };
         self.faces = Some(faces);
@@ -368,148 +314,19 @@ impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for TwoFaced<F> {
 /// Replay attack: faulty nodes echo honest states from `delay` rounds ago.
 ///
 /// Stale counter states are plausible counter states, so this specifically
-/// attacks the *increment* part of the counting specification.
+/// attacks the *increment* part of the counting specification. Receiver
+/// `to` sees the `to mod |honest|`-th correct node, the lag clamped to the
+/// rounds seen; each replayed state is fabricated once per donor per round.
 ///
-/// The donor mapping (`to ↦ honest[to mod |honest|]`) is static for the
-/// execution, so only the ~`|honest|` states that will actually be replayed
-/// are snapshotted each round — one clone per donor — and when a snapshot
-/// falls `delay − 1` rounds behind it is **moved** into the round pool and
-/// leased, not cloned again. While the window is still warming up the
-/// serving snapshot is the current broadcast (pure echo, no clone at all)
-/// or the oldest ring entry (cloned at most once per donor per round).
-pub fn replay<S: Clone>(faulty: impl IntoIterator<Item = usize>, delay: usize) -> Replay<S> {
-    Replay {
-        faulty: normalize_faults(faulty),
-        delay: delay.max(1),
-        ring: VecDeque::new(),
-        spare: Vec::new(),
-        honest: Vec::new(),
-        donors: Vec::new(),
-        slot_of: Vec::new(),
-        leases: Vec::new(),
-        serve: Serve::Current,
-    }
-}
-
-/// Where this round's replayed states come from.
-#[derive(Clone, Copy, Debug)]
-enum Serve {
-    /// The current broadcast (warm-up round 0, or `delay == 1`): echo.
-    Current,
-    /// The oldest ring snapshot, still warming up: clone per donor, once.
-    Front,
-    /// The retired snapshot, moved into the pool by `begin_round`.
-    Retired,
-}
-
-/// Adversary produced by [`replay`].
-#[derive(Clone, Debug)]
-pub struct Replay<S> {
-    faulty: Vec<NodeId>,
+/// # Panics
+///
+/// Panics if `delay` exceeds 256 (the ring depth the face encoding
+/// carries); the produced adversary panics if no node is correct.
+pub fn replay<S: Clone>(
+    faulty: impl IntoIterator<Item = usize>,
     delay: usize,
-    /// The last `delay − 1` rounds' donor snapshots (each parallel to
-    /// `donors`), oldest first.
-    ring: VecDeque<Vec<S>>,
-    /// Recycled snapshot buffers.
-    spare: Vec<Vec<S>>,
-    /// Correct node ids — static per execution, cached at the first round.
-    honest: Vec<NodeId>,
-    /// The distinct donor nodes, in slot order.
-    donors: Vec<NodeId>,
-    /// Node index → donor slot (`usize::MAX` for non-donors).
-    slot_of: Vec<usize>,
-    /// Per-donor-slot leases for the current round.
-    leases: Vec<Option<MessageSource>>,
-    serve: Serve,
-}
-
-impl<S: Clone + std::fmt::Debug> Adversary<S> for Replay<S> {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn begin_round(&mut self, ctx: &RoundContext<'_, S>, pool: &mut StatePool<S>) {
-        if self.honest.is_empty() {
-            // First round: the fault set is static, so the donor mapping is
-            // computed once.
-            self.honest.extend(ctx.honest_ids());
-            self.slot_of = vec![usize::MAX; ctx.honest.len()];
-            for &to in &self.honest {
-                let donor = self.honest[to.index() % self.honest.len()];
-                if self.slot_of[donor.index()] == usize::MAX {
-                    self.slot_of[donor.index()] = self.donors.len();
-                    self.donors.push(donor);
-                }
-            }
-        }
-        self.leases.clear();
-        self.leases.resize(self.donors.len(), None);
-
-        self.serve = if self.delay == 1 || self.ring.is_empty() {
-            Serve::Current
-        } else if self.ring.len() < self.delay - 1 {
-            Serve::Front
-        } else {
-            // Steady state: the oldest snapshot is exactly `delay − 1`
-            // rounds behind — move its states into the pool, no clones.
-            let mut retired = self.ring.pop_front().expect("ring is non-empty");
-            for (slot, state) in retired.drain(..).enumerate() {
-                self.leases[slot] = Some(pool.fabricate(state));
-            }
-            self.spare.push(retired);
-            Serve::Retired
-        };
-
-        if self.delay > 1 {
-            // Snapshot this round's donor states for use `delay − 1` rounds
-            // from now: one clone per donor, nothing else.
-            let mut snapshot = self.spare.pop().unwrap_or_default();
-            snapshot.clear();
-            snapshot.extend(self.donors.iter().map(|d| ctx.honest[d.index()].clone()));
-            self.ring.push_back(snapshot);
-        }
-    }
-
-    fn message(
-        &mut self,
-        _from: NodeId,
-        to: NodeId,
-        _ctx: &RoundContext<'_, S>,
-        pool: &mut StatePool<S>,
-    ) -> MessageSource {
-        // Echo a (possibly stale) honest state back at the receiver; pick the
-        // donor deterministically so different receivers see different lags.
-        assert!(
-            !self.honest.is_empty(),
-            "begin_round not called (or no correct nodes)"
-        );
-        let donor = self.honest[to.index() % self.honest.len()];
-        match self.serve {
-            Serve::Current => MessageSource::Broadcast(donor),
-            Serve::Retired => {
-                self.leases[self.slot_of[donor.index()]].expect("retired snapshot leased")
-            }
-            Serve::Front => {
-                let slot = self.slot_of[donor.index()];
-                let front = self.ring.front().expect("warm-up ring is non-empty");
-                *self.leases[slot].get_or_insert_with(|| pool.fabricate(front[slot].clone()))
-            }
-        }
-    }
-
-    fn snapshot(&self, _round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {
-        // The donor mapping is static; the strategy's evolving state is the
-        // ring of donor snapshots (the serve mode and the per-round leases
-        // are recomputed from it every `begin_round`).
-        out.word(self.delay as u64);
-        out.word(self.ring.len() as u64);
-        for snapshot in &self.ring {
-            for (donor, state) in self.donors.iter().zip(snapshot) {
-                out.state(*donor, state);
-            }
-        }
-        SnapshotSupport::Deterministic
-    }
+) -> FacedAdversary<SlicedReplay, S> {
+    FacedAdversary::new(SlicedReplay::new(faulty, delay), 0)
 }
 
 /// Sends the caller-supplied state to every receiver in every round.
@@ -521,69 +338,56 @@ impl<S: Clone + std::fmt::Debug> Adversary<S> for Replay<S> {
 ///
 /// let adv = adversaries::fixed([1usize, 3], 99u64);
 /// ```
-pub fn fixed<S: Clone>(faulty: impl IntoIterator<Item = usize>, state: S) -> Fixed<S> {
-    Fixed {
-        faulty: normalize_faults(faulty),
-        state: Some(state),
-        lease: None,
-    }
+pub fn fixed<S: Clone>(
+    faulty: impl IntoIterator<Item = usize>,
+    state: S,
+) -> FacedAdversary<SlicedPalette<S>, S> {
+    FacedAdversary::new(SlicedPalette::fixed(faulty, state), 0)
 }
 
-/// Adversary produced by [`fixed`].
+/// Two-faced equivocation with a **periodic, seed-derived donor schedule**:
+/// round `t` echoes the donor pair of schedule slot `t mod period`, the
+/// first to even-indexed receivers and the second to odd-indexed ones.
 ///
-/// Deliberately not `Clone` for the same reason as [`Crash`]: once pinned,
-/// the lease belongs to one execution's pool.
-#[derive(Debug)]
-pub struct Fixed<S> {
-    faulty: Vec<NodeId>,
-    /// The constant state, moved into the pool at the first `begin_round`.
-    state: Option<S>,
-    lease: Option<MessageSource>,
+/// Qualitatively the same attack as
+/// [`adversaries::two_faced`](crate::adversaries::two_faced) — two
+/// plausible honest "camps" that majority votes cannot reconcile — but
+/// fully deterministic, so sweeps under it keep the early-decision exit.
+///
+/// # Panics
+///
+/// The produced adversary panics if no node is correct (equivocation needs
+/// a donor).
+pub fn two_faced_periodic<S: Clone>(
+    faulty: impl IntoIterator<Item = usize>,
+    seed: u64,
+    period: usize,
+) -> FacedAdversary<SlicedTwoFacedPeriodic, S> {
+    FacedAdversary::new(SlicedTwoFacedPeriodic::new(faulty, &[seed], period), 0)
 }
 
-impl<S: Clone + std::fmt::Debug> Adversary<S> for Fixed<S> {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn begin_round(&mut self, _ctx: &RoundContext<'_, S>, pool: &mut StatePool<S>) {
-        if let Some(state) = self.state.take() {
-            self.lease = Some(pool.pin(state));
-        }
-    }
-
-    fn message(
-        &mut self,
-        _from: NodeId,
-        _to: NodeId,
-        _ctx: &RoundContext<'_, S>,
-        _pool: &mut StatePool<S>,
-    ) -> MessageSource {
-        self.lease.expect("begin_round not called")
-    }
-
-    fn snapshot(&self, _round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {
-        // The constant state is either still queued or pinned immutably.
-        if let Some(state) = &self.state {
-            out.word(1);
-            out.state(
-                self.faulty.first().copied().unwrap_or(NodeId::new(0)),
-                state,
-            );
-        } else {
-            out.word(0);
-        }
-        if let Some(lease) = self.lease {
-            out.source(lease);
-        }
-        SnapshotSupport::Deterministic
-    }
+/// Fresh-noise attack with a **periodic, seed-derived state palette**:
+/// round `t` sends palette entry `(t mod period, sender, receiver)`.
+///
+/// Qualitatively the same attack as
+/// [`adversaries::random`](crate::adversaries::random), but the palette is
+/// sampled once and each entry **pinned** the first time it is shown (like
+/// a crash adversary's frozen states), so the strategy snapshots.
+pub fn random_periodic<P: SyncProtocol>(
+    protocol: &P,
+    faulty: impl IntoIterator<Item = usize>,
+    seed: u64,
+    period: usize,
+) -> FacedAdversary<SlicedPalette<P::State>, P::State> {
+    let palette = SlicedPalette::sampled(protocol, faulty, &[seed], period.max(1), protocol.n());
+    FacedAdversary::new(palette, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::TestRound;
+    use crate::testing::{FollowMax, TestRound};
+    use crate::Simulation;
     use rand::RngCore;
     use sc_protocol::{MessageView, StepContext, SyncProtocol};
 
@@ -674,29 +478,41 @@ mod tests {
     fn replay_serves_stale_states_fabricated_once_per_donor() {
         let mut adv = replay::<u64>([0], 2);
         let mut pool = StatePool::new();
+        let ask_all = |adv: &mut FacedAdversary<SlicedReplay, u64>,
+                       round: &TestRound<u64>,
+                       t: u64,
+                       pool: &mut StatePool<u64>| {
+            for to in 1..4 {
+                adv.message(NodeId::new(0), NodeId::new(to), &round.ctx(t), pool);
+            }
+        };
         let r0 = TestRound::new(vec![1u64, 2, 3, 4], [0]);
         adv.begin_round(&r0.ctx(0), &mut pool);
-        // Warm-up: the serving snapshot is the current broadcast — pure echo.
+        // Warm-up: no history yet, so the replay is the current broadcast —
+        // pure echo.
         let src = adv.message(NodeId::new(0), NodeId::new(2), &r0.ctx(0), &mut pool);
         assert!(matches!(src, MessageSource::Broadcast(_)));
+        ask_all(&mut adv, &r0, 0, &mut pool);
         assert_eq!(pool.fabricated_total(), 0);
 
         let r1 = TestRound::new(vec![5u64, 6, 7, 8], [0]);
         pool.begin_round();
         adv.begin_round(&r1.ctx(1), &mut pool);
+        ask_all(&mut adv, &r1, 1, &mut pool);
         let r2 = TestRound::new(vec![9u64, 10, 11, 12], [0]);
         pool.begin_round();
         adv.begin_round(&r2.ctx(2), &mut pool);
-        // Window is 2 rounds: at round 2 the retiring snapshot is r1.
+        // Delay 2: at round 2 the replayed broadcast is round 1's.
         let ctx = r2.ctx(2);
         let sent = adv.message(NodeId::new(0), NodeId::new(2), &ctx, &mut pool);
         assert!(r1.honest().contains(pool.resolve(r2.honest(), sent)));
         // Re-asking for the same receiver reuses the leased slot.
         let again = adv.message(NodeId::new(0), NodeId::new(2), &ctx, &mut pool);
         assert_eq!(sent, again);
-        // Exactly one materialisation per donor per steady round — all of
-        // them moves out of the retired snapshot, not clones (3 donors for
-        // the 3 correct nodes here: rounds 1 and 2 each lease a snapshot).
+        ask_all(&mut adv, &r2, 2, &mut pool);
+        // Exactly one materialisation per donor per round once the window
+        // has history (3 donors for the 3 correct nodes here: rounds 1 and
+        // 2 each fabricate them once, whatever the receiver count).
         assert_eq!(pool.fabricated_total(), 3 + 3);
     }
 
@@ -719,5 +535,98 @@ mod tests {
         let round = TestRound::new(vec![0u64; 2], []);
         let mut pool = StatePool::new();
         let _ = adv.message(NodeId::new(0), NodeId::new(1), &round.ctx(0), &mut pool);
+    }
+
+    #[test]
+    fn periodic_two_faced_repeats_its_schedule() {
+        let mut adv = two_faced_periodic::<u64>([3], 5, 4);
+        let round = TestRound::new(vec![10u64, 20, 30, 40], [3]);
+        let mut pool = StatePool::new();
+        // The faces of round t and round t + period are identical.
+        let mut faces = Vec::new();
+        for t in 0..8u64 {
+            adv.begin_round(&round.ctx(t), &mut pool);
+            let even = adv.message(NodeId::new(3), NodeId::new(0), &round.ctx(t), &mut pool);
+            let odd = adv.message(NodeId::new(3), NodeId::new(1), &round.ctx(t), &mut pool);
+            faces.push((even, odd));
+        }
+        for t in 0..4 {
+            assert_eq!(faces[t], faces[t + 4], "slot {t} must repeat");
+        }
+        assert_eq!(pool.fabricated_total(), 0, "pure echo attack");
+    }
+
+    #[test]
+    fn periodic_random_pins_its_palette_once() {
+        let p = FollowMax { n: 4, c: 8 };
+        let mut adv = random_periodic(&p, [1], 9, 2);
+        let round = TestRound::new(vec![0u64; 4], [1]);
+        let mut pool = StatePool::new();
+        let mut leases = Vec::new();
+        for t in 0..4u64 {
+            pool.begin_round();
+            adv.begin_round(&round.ctx(t), &mut pool);
+            for to in [0usize, 2, 3] {
+                leases.push(adv.message(NodeId::new(1), NodeId::new(to), &round.ctx(t), &mut pool));
+            }
+        }
+        // Period 2 × 3 correct receivers: six palette entries shown, each
+        // pinned once, and no fabrications ever.
+        assert_eq!(pool.pinned().len(), 6);
+        assert_eq!(pool.fabricated_total(), 0);
+        assert_eq!(
+            leases[..6],
+            leases[6..],
+            "period 2: rounds 2, 3 replay 0, 1"
+        );
+        assert_ne!(leases[..3], leases[3..6], "slots use different entries");
+    }
+
+    #[test]
+    fn periodic_variants_are_deterministic_replays() {
+        let p = FollowMax { n: 5, c: 16 };
+        let states: Vec<u64> = vec![7, 3, 11, 0, 5];
+        let mut a = Simulation::with_states(&p, two_faced_periodic([2], 5, 8), states.clone(), 1);
+        let mut b = Simulation::with_states(&p, two_faced_periodic([2], 5, 8), states, 1);
+        for round in 0..40 {
+            a.step();
+            b.step();
+            assert_eq!(a.states(), b.states(), "divergence at round {round}");
+        }
+    }
+
+    #[test]
+    fn periodic_regimes_take_the_early_exit() {
+        use crate::ExitReason;
+        // The whole point of derandomisation: under the periodic variants
+        // the cycle detector arms and fires, with verdicts identical to the
+        // full-horizon run — while the RNG-driven originals stay opaque.
+        let p = FollowMax { n: 5, c: 4 };
+        let horizon = 4096u64;
+        for faulty in [vec![4usize], vec![2]] {
+            let mut early = Simulation::new(&p, two_faced_periodic(faulty.clone(), 3, 4), 11);
+            let (verdict, exit) = early.run_until_stable_early(horizon);
+            assert!(
+                matches!(exit, ExitReason::Cycle { .. }),
+                "two-faced-periodic must cycle, got {exit:?}"
+            );
+            let mut full = Simulation::new(&p, two_faced_periodic(faulty.clone(), 3, 4), 11);
+            assert_eq!(verdict, full.run_until_stable(horizon), "early ≡ full");
+
+            let mut early = Simulation::new(&p, random_periodic(&p, faulty.clone(), 3, 4), 11);
+            let (verdict, exit) = early.run_until_stable_early(horizon);
+            assert!(
+                matches!(exit, ExitReason::Cycle { .. }),
+                "random-periodic must cycle, got {exit:?}"
+            );
+            let mut full = Simulation::new(&p, random_periodic(&p, faulty, 3, 4), 11);
+            assert_eq!(verdict, full.run_until_stable(horizon), "early ≡ full");
+        }
+
+        // The RNG-driven original opts out (regression guard for the
+        // contrast this module exists to fix).
+        let mut opaque = Simulation::new(&p, crate::adversaries::two_faced(&p, [2], 3), 11);
+        let (_, exit) = opaque.run_until_stable_early(256);
+        assert_eq!(exit, ExitReason::Opaque);
     }
 }

@@ -44,7 +44,7 @@ impl<'a, S> AdversarySnapshot<'a, S> {
         AdversarySnapshot { bits, encode }
     }
 
-    /// Appends a raw 64-bit word (counters, flags, lease tokens).
+    /// Appends a raw 64-bit word (counters, flags, schedule positions).
     pub fn word(&mut self, value: u64) {
         self.bits.push_bits(value, 64);
     }
@@ -53,19 +53,6 @@ impl<'a, S> AdversarySnapshot<'a, S> {
     /// encoded as belonging to `node` (the codec may be node-dependent).
     pub fn state(&mut self, node: NodeId, state: &S) {
         (self.encode)(node, state, self.bits);
-    }
-
-    /// Appends a [`MessageSource`] lease token. Leases name immutable slots
-    /// of one execution's pool, so the token is a faithful stand-in for the
-    /// state it resolves to within that execution.
-    pub fn source(&mut self, source: MessageSource) {
-        let (tag, payload) = match source {
-            MessageSource::Broadcast(donor) => (0u64, donor.index() as u64),
-            MessageSource::Pinned(slot) => (1, u64::from(slot)),
-            MessageSource::Fabricated(slot) => (2, u64::from(slot)),
-        };
-        self.bits.push_bits(tag, 2);
-        self.bits.push_bits(payload, 64);
     }
 }
 
@@ -173,10 +160,11 @@ pub trait Adversary<S> {
     /// to their trigger into the snapshot, so that configurations at
     /// different absolute times never alias.
     ///
-    /// Returning [`SnapshotSupport::Deterministic`] asserts: given equal
-    /// snapshots and equal correct-node configurations (plus the execution's
-    /// immutable pinned pool), the strategy makes identical decisions in all
-    /// future rounds. RNG-driven strategies keep the default
+    /// Returning [`SnapshotSupport::Deterministic`] asserts: within one
+    /// execution, two rounds with equal snapshots and equal correct-node
+    /// configurations are followed by identical decisions in all future
+    /// rounds. Pinned states count as decided: a strategy that pins a state
+    /// on first use need not fold whether it has pinned it yet. RNG-driven strategies keep the default
     /// [`SnapshotSupport::Opaque`], which soundly disables cycle-based early
     /// exits for the execution.
     fn snapshot(&self, round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {

@@ -23,6 +23,9 @@
 //!   attacks deliver without per-receiver clones; the [`adversaries`] module
 //!   ships a library of generic strategies (crash, fresh-random, two-faced
 //!   equivocation, replay).
+//! * [`SlicedStrategy`] / [`FacedAdversary`] — oblivious strategies as face
+//!   schedules, written once and run on both the bit-sliced
+//!   [`SlicedBatch`] and, one lane at a time, the scalar engine.
 //! * [`StabilizationReport`] / [`OutputTrace`] — exact detection of the
 //!   stabilisation time of a counter execution: the earliest round after
 //!   which all correct outputs agree *and* increment modulo `c` every round.
@@ -66,9 +69,9 @@ mod adversary;
 mod batch;
 mod early;
 mod error;
+mod faced;
 mod metrics;
 mod obs;
-mod seeded;
 mod simulation;
 mod sliced;
 mod stabilization;
@@ -77,17 +80,19 @@ pub mod testing;
 mod workspace;
 
 pub use advanced::{greedy, sleeper, Greedy, Sleeper};
+pub use adversaries::{random_periodic, two_faced_periodic};
 pub use adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport};
 pub use batch::{Batch, BatchReport, BatchSummary, Scenario, ScenarioOutcome};
 pub use early::ExitReason;
 pub use error::SimError;
+pub use faced::FacedAdversary;
 pub use metrics::{broadcast_metrics, BroadcastMetrics};
 pub use obs::SimObs;
-pub use seeded::{random_periodic, two_faced_periodic, RandomPeriodic, TwoFacedPeriodic};
 pub use simulation::{required_confirmation, Simulation};
 pub use sliced::{
     sliced_crash, sliced_replay, sliced_two_faced_periodic, PackedInit, RoundProgramSource,
-    SlicedBatch, SlicedCrash, SlicedProtocol, SlicedReplay, SlicedStrategy, SlicedTwoFacedPeriodic,
+    SlicedBatch, SlicedPalette, SlicedProtocol, SlicedReplay, SlicedStrategy,
+    SlicedTwoFacedPeriodic,
 };
 pub use stabilization::{
     detect_stabilization, first_stable_window, violation_rate, OnlineDetector, OutputTrace,

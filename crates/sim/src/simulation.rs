@@ -493,18 +493,16 @@ where
     }
 
     /// Encodes the current joint configuration — the correct nodes' states
-    /// through the protocol's bit-exact digest, the pinned-pool watermark,
-    /// and the adversary snapshot — and feeds it to the detector.
+    /// through the protocol's bit-exact digest and the adversary snapshot —
+    /// and feeds it to the detector. How many states are pinned is not part
+    /// of it: a pinned lease always resolves to the same state, so pinning
+    /// on first use changes no decision.
     fn record_config(&self, detector: &mut CycleDetector) -> Feed {
         let mut bits = detector.begin();
         for &id in &self.honest {
             self.protocol
                 .fingerprint_state(id, &self.states[id.index()], &mut bits);
         }
-        // Pinned pool slots are immutable once issued, so within one
-        // execution only the watermark can change (a strategy pinning a new
-        // state mid-run must not alias a pre-pin configuration).
-        bits.push_bits(self.workspace.pool.pinned().len() as u64, 64);
         let support = {
             let mut encode = |node: NodeId, state: &P::State, out: &mut BitVec| {
                 self.protocol.fingerprint_state(node, state, out);

@@ -23,14 +23,14 @@
 //!
 //! * [`SlicedProtocol`] — a counter that can lower its transition to round
 //!   programs for a given fault set ([`RoundProgramSource`]).
-//! * [`SlicedStrategy`] — the adversary interface of the sliced plane:
-//!   instead of per-receiver message leases, a strategy names one
-//!   [`FaceRef`] per (faulty sender, receiver) pair per round, plus packed
-//!   constant bundles and per-lane gather donors.
+//! * [`SlicedStrategy`] — a face schedule, the one form of an oblivious
+//!   adversary: one [`FaceRef`] per (faulty sender, receiver) pair per
+//!   round, plus packed constant bundles and per-lane gather donors. The
+//!   scalar engine plays it through [`crate::FacedAdversary`].
 //! * [`SlicedBatch`] — the sweep engine, mirroring [`crate::Batch`]'s
 //!   verdict pipeline ([`OnlineDetector`] per lane).
 //! * [`sliced_crash`] / [`sliced_replay`] / [`sliced_two_faced_periodic`] —
-//!   sliced twins of the scalar strategies, bit-identical in effect.
+//!   the library's oblivious strategies.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -41,7 +41,7 @@ use sc_protocol::{
     BitVec, Counter, ExecSpaces, FaceRef, NodeId, PlaneBuf, Program, RoundFaces, SlicedLayout,
 };
 
-use crate::adversaries::normalize_faults;
+use crate::adversaries::{donor_id, normalize_faults};
 use crate::batch::{BatchReport, Scenario, ScenarioOutcome};
 use crate::early::ExitReason;
 use crate::obs::SimObs;
@@ -117,14 +117,16 @@ pub enum PackedInit<S> {
     },
 }
 
-/// A Byzantine strategy on the sliced plane.
+/// A face schedule: an oblivious Byzantine strategy, for both engines.
 ///
-/// Where a scalar [`crate::Adversary`] returns per-receiver message leases
-/// round by round, a sliced strategy declares, per round, a *face table*:
-/// one [`FaceRef`] per (faulty sender, receiver) pair, all lane-uniform in
-/// identity. Per-lane variation enters only through packed bundles
-/// (constant per execution, e.g. crash freezes) and gather tables (per-lane
-/// donor selection, e.g. seeded equivocation schedules).
+/// Where an adaptive [`crate::Adversary`] returns per-receiver message
+/// leases round by round, a face schedule declares, per round, a *face
+/// table*: one [`FaceRef`] per (faulty sender, receiver) pair, all
+/// lane-uniform in identity. Per-lane variation enters only through packed
+/// bundles (constant per execution, e.g. crash freezes) and gather tables
+/// (per-lane donor selection, e.g. seeded equivocation schedules).
+/// [`SlicedBatch`] runs it 64 lanes per word, [`crate::FacedAdversary`] one
+/// lane on the scalar engine.
 pub trait SlicedStrategy<S> {
     /// Sorted, deduplicated fault set.
     fn faulty(&self) -> &[NodeId];
@@ -137,8 +139,8 @@ pub trait SlicedStrategy<S> {
 
     /// Packed constant bundles, indexed by [`sc_protocol::Space::Packed`]
     /// id.
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
-        Vec::new()
+    fn packed_bundles(&self) -> &[PackedInit<S>] {
+        &[]
     }
 
     /// Number of gather tables the faces reference.
@@ -152,9 +154,18 @@ pub trait SlicedStrategy<S> {
     fn faces(&self, round: u64, n: usize, faces: &mut RoundFaces);
 
     /// Writes the per-lane donor (global node index) of each gather table
-    /// for `round`: `out[table][lane - lanes.start]`.
-    fn gather_donors(&self, round: u64, lanes: Range<usize>, out: &mut [Vec<u32>]) {
-        let _ = (round, lanes, out);
+    /// for `round` in an `n`-node network: `out[table][lane - lanes.start]`.
+    fn gather_donors(&self, round: u64, n: usize, lanes: Range<usize>, out: &mut [Vec<u32>]) {
+        let _ = (round, n, lanes, out);
+    }
+
+    /// The schedule's position at `round`: it fixes the round's faces and
+    /// gather donors and determines every later position, so
+    /// [`crate::FacedAdversary`] snapshots it for the early-decision exit.
+    /// `None` (the default) declares the schedule opaque.
+    fn phase(&self, round: u64) -> Option<u64> {
+        let _ = round;
+        None
     }
 }
 
@@ -303,7 +314,7 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
                 &layout,
                 &faulty,
                 &honest,
-                &packed_inits,
+                packed_inits,
                 confirm,
             );
             // Metered per lane group as workers finish, so a long sweep's
@@ -469,7 +480,7 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
                 .expect("model poisoned")
                 .round_program(&scr.faces);
             if tables > 0 {
-                strategy.gather_donors(round, start..end, &mut scr.donors);
+                strategy.gather_donors(round, n, start..end, &mut scr.donors);
                 for (table, gather) in scr.gathers.iter_mut().enumerate() {
                     materialize_gather(
                         gather,
@@ -734,66 +745,114 @@ fn materialize_gather(
 
 // ---- built-in strategies -------------------------------------------------
 
-/// Sliced twin of [`crate::adversaries::crash`]: per lane, each faulty node
-/// freezes the state the scalar strategy would have sampled from that
-/// lane's seed, served as one per-lane packed bundle per faulty node.
+/// Face schedule of [`crate::adversaries::crash`]: per lane, each faulty
+/// node freezes the state the lane's seed samples for it.
 pub fn sliced_crash<P: sc_protocol::SyncProtocol>(
     protocol: &P,
     faulty: impl IntoIterator<Item = usize>,
     seeds: &[u64],
-) -> SlicedCrash<P::State> {
-    let ids = normalize_faults(faulty);
-    let mut frozen: Vec<Vec<P::State>> = vec![Vec::with_capacity(seeds.len()); ids.len()];
-    for &seed in seeds {
-        // Mirror `adversaries::crash`: one SmallRng per scenario seed,
-        // faulty nodes sampled in id order.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for (g, &id) in ids.iter().enumerate() {
-            frozen[g].push(protocol.random_state(id, &mut rng));
+) -> SlicedPalette<P::State> {
+    SlicedPalette::sampled(protocol, faulty, seeds, 1, 1)
+}
+
+/// A packed palette: round `t`, faulty node `g` shows receiver `v` bundle
+/// `(t mod period · f + g) · width + v mod width` — one per sender when
+/// `width` is 1 ([`sliced_crash`], [`crate::adversaries::fixed`]), one per
+/// receiver when it is `n` ([`crate::random_periodic`]).
+#[derive(Clone, Debug)]
+pub struct SlicedPalette<S> {
+    faulty: Vec<NodeId>,
+    period: usize,
+    width: usize,
+    packed: Vec<PackedInit<S>>,
+}
+
+impl<S> SlicedPalette<S> {
+    /// One state per entry and lane, drawn from the lane's seed (one
+    /// `SmallRng`, entries in order: slot, sender, receiver).
+    pub(crate) fn sampled<P: sc_protocol::SyncProtocol<State = S>>(
+        protocol: &P,
+        faulty: impl IntoIterator<Item = usize>,
+        seeds: &[u64],
+        period: usize,
+        width: usize,
+    ) -> Self {
+        let faulty = normalize_faults(faulty);
+        let senders: Vec<NodeId> = (0..period * faulty.len() * width)
+            .map(|entry| faulty[entry / width % faulty.len()])
+            .collect();
+        assert!(
+            senders.len() <= 1 << 16,
+            "palettes hold at most 65536 states"
+        );
+        let mut states: Vec<Vec<S>> = (0..senders.len()).map(|_| Vec::new()).collect();
+        for &seed in seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for (lanes, &from) in states.iter_mut().zip(&senders) {
+                lanes.push(protocol.random_state(from, &mut rng));
+            }
+        }
+        let packed = senders
+            .into_iter()
+            .zip(states)
+            .map(|(node, states)| PackedInit::PerLane { node, states })
+            .collect();
+        SlicedPalette {
+            faulty,
+            period,
+            width,
+            packed,
         }
     }
-    SlicedCrash {
-        faulty: ids,
-        frozen,
+
+    /// Every faulty node shows `state`, in every lane.
+    pub(crate) fn fixed(faulty: impl IntoIterator<Item = usize>, state: S) -> Self
+    where
+        S: Clone,
+    {
+        let faulty = normalize_faults(faulty);
+        let packed = faulty
+            .iter()
+            .map(|&node| PackedInit::Uniform {
+                node,
+                state: state.clone(),
+            })
+            .collect();
+        SlicedPalette {
+            faulty,
+            period: 1,
+            width: 1,
+            packed,
+        }
     }
 }
 
-/// Strategy produced by [`sliced_crash`].
-#[derive(Clone, Debug)]
-pub struct SlicedCrash<S> {
-    faulty: Vec<NodeId>,
-    /// `frozen[g][lane]`: the `g`-th faulty node's frozen state per lane.
-    frozen: Vec<Vec<S>>,
-}
-
-impl<S: Clone> SlicedStrategy<S> for SlicedCrash<S> {
+impl<S> SlicedStrategy<S> for SlicedPalette<S> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }
 
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
-        self.faulty
-            .iter()
-            .zip(&self.frozen)
-            .map(|(&node, states)| PackedInit::PerLane {
-                node,
-                states: states.clone(),
-            })
-            .collect()
+    fn packed_bundles(&self) -> &[PackedInit<S>] {
+        &self.packed
     }
 
-    fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
+    fn faces(&self, round: u64, n: usize, faces: &mut RoundFaces) {
+        let first = round as usize % self.period * self.faulty.len();
         for g in 0..self.faulty.len() {
             for v in 0..n {
-                faces.set_face(g, n, v, FaceRef::Packed(g as u16));
+                let id = (first + g) * self.width + v % self.width;
+                faces.set_face(g, n, v, FaceRef::Packed(id as u16));
             }
         }
     }
+
+    fn phase(&self, round: u64) -> Option<u64> {
+        Some(round % self.period as u64)
+    }
 }
 
-/// Sliced twin of [`crate::adversaries::replay`]: faulty nodes echo honest
-/// states from `delay` rounds ago (donor `honest[receiver mod |honest|]`,
-/// effective lag `min(delay − 1, round)` while the window warms up).
+/// Face schedule of [`crate::adversaries::replay`]: receiver `v` sees the
+/// `v mod |honest|`-th correct node's broadcast of `delay` rounds ago.
 ///
 /// # Panics
 ///
@@ -804,26 +863,27 @@ pub fn sliced_replay(
     faulty: impl IntoIterator<Item = usize>,
     delay: usize,
 ) -> SlicedReplay {
-    let ids = normalize_faults(faulty);
-    let delay = delay.max(1);
-    assert!(delay <= 256, "sliced replay supports delays up to 256");
-    let honest: Vec<u32> = (0..n as u32)
-        .filter(|&i| ids.binary_search(&NodeId::new(i as usize)).is_err())
-        .collect();
-    assert!(!honest.is_empty(), "replay needs a correct donor");
-    SlicedReplay {
-        faulty: ids,
-        honest,
-        delay,
-    }
+    let strategy = SlicedReplay::new(faulty, delay);
+    assert!(strategy.faulty.len() < n, "replay needs a correct donor");
+    strategy
 }
 
 /// Strategy produced by [`sliced_replay`].
 #[derive(Clone, Debug)]
 pub struct SlicedReplay {
     faulty: Vec<NodeId>,
-    honest: Vec<u32>,
     delay: usize,
+}
+
+impl SlicedReplay {
+    pub(crate) fn new(faulty: impl IntoIterator<Item = usize>, delay: usize) -> Self {
+        let delay = delay.max(1);
+        assert!(delay <= 256, "replay supports delays up to 256");
+        SlicedReplay {
+            faulty: normalize_faults(faulty),
+            delay,
+        }
+    }
 }
 
 impl<S> SlicedStrategy<S> for SlicedReplay {
@@ -837,23 +897,22 @@ impl<S> SlicedStrategy<S> for SlicedReplay {
 
     fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
         let lag = (self.delay - 1) as u8;
-        for g in 0..self.faulty.len() {
-            for v in 0..n {
-                let donor = self.honest[v % self.honest.len()];
-                let face = if lag == 0 {
-                    FaceRef::Honest(donor)
-                } else {
-                    FaceRef::Ring { lag, donor }
-                };
-                faces.set_face(g, n, v, face);
+        for v in 0..n {
+            let donor = donor_id(&self.faulty, n, v).index() as u32;
+            for g in 0..self.faulty.len() {
+                faces.set_face(g, n, v, FaceRef::Ring { lag, donor });
             }
         }
     }
+
+    fn phase(&self, _round: u64) -> Option<u64> {
+        Some(0)
+    }
 }
 
-/// Sliced twin of [`crate::two_faced_periodic`]: per lane, the donor-pair
-/// schedule the scalar strategy derives from that lane's seed, served
-/// through two gather tables (even-parity and odd-parity receivers).
+/// Face schedule of [`crate::two_faced_periodic`]: per lane, `period` donor
+/// salt pairs drawn from the lane's seed; round `t` shows even receivers
+/// gather table 0 and odd ones table 1, from slot `t mod period`.
 ///
 /// # Panics
 ///
@@ -864,38 +923,46 @@ pub fn sliced_two_faced_periodic(
     seeds: &[u64],
     period: usize,
 ) -> SlicedTwoFacedPeriodic {
-    use rand::RngCore;
-    let ids = normalize_faults(faulty);
-    let honest: Vec<u32> = (0..n as u32)
-        .filter(|&i| ids.binary_search(&NodeId::new(i as usize)).is_err())
-        .collect();
-    assert!(!honest.is_empty(), "equivocation needs a correct donor");
-    let period = period.max(1);
-    let schedules = seeds
-        .iter()
-        .map(|&seed| {
-            // Mirror `two_faced_periodic`: one SmallRng per scenario seed,
-            // `period` salt pairs.
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..period)
-                .map(|_| (rng.next_u32(), rng.next_u32()))
-                .collect()
-        })
-        .collect();
-    SlicedTwoFacedPeriodic {
-        faulty: ids,
-        honest,
-        schedules,
-    }
+    let strategy = SlicedTwoFacedPeriodic::new(faulty, seeds, period);
+    assert!(
+        strategy.faulty.len() < n,
+        "equivocation needs a correct donor"
+    );
+    strategy
 }
 
 /// Strategy produced by [`sliced_two_faced_periodic`].
 #[derive(Clone, Debug)]
 pub struct SlicedTwoFacedPeriodic {
     faulty: Vec<NodeId>,
-    honest: Vec<u32>,
+    period: usize,
     /// Per-lane donor salt schedules, indexed by `round mod period`.
     schedules: Vec<Vec<(u32, u32)>>,
+}
+
+impl SlicedTwoFacedPeriodic {
+    pub(crate) fn new(
+        faulty: impl IntoIterator<Item = usize>,
+        seeds: &[u64],
+        period: usize,
+    ) -> Self {
+        use rand::RngCore;
+        let period = period.max(1);
+        let schedules = seeds
+            .iter()
+            .map(|&seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                (0..period)
+                    .map(|_| (rng.next_u32(), rng.next_u32()))
+                    .collect()
+            })
+            .collect();
+        SlicedTwoFacedPeriodic {
+            faulty: normalize_faults(faulty),
+            period,
+            schedules,
+        }
+    }
 }
 
 impl<S> SlicedStrategy<S> for SlicedTwoFacedPeriodic {
@@ -910,20 +977,21 @@ impl<S> SlicedStrategy<S> for SlicedTwoFacedPeriodic {
     fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
         for g in 0..self.faulty.len() {
             for v in 0..n {
-                let table = if v % 2 == 0 { 0 } else { 1 };
-                faces.set_face(g, n, v, FaceRef::Gather(table));
+                faces.set_face(g, n, v, FaceRef::Gather((v % 2) as u8));
             }
         }
     }
 
-    fn gather_donors(&self, round: u64, lanes: Range<usize>, out: &mut [Vec<u32>]) {
-        let count = self.honest.len();
+    fn gather_donors(&self, round: u64, n: usize, lanes: Range<usize>, out: &mut [Vec<u32>]) {
         for (l, lane) in lanes.enumerate() {
-            let schedule = &self.schedules[lane];
-            let (even, odd) = schedule[round as usize % schedule.len()];
-            out[0][l] = self.honest[even as usize % count];
-            out[1][l] = self.honest[odd as usize % count];
+            let (even, odd) = self.schedules[lane][round as usize % self.period];
+            out[0][l] = donor_id(&self.faulty, n, even as usize).index() as u32;
+            out[1][l] = donor_id(&self.faulty, n, odd as usize).index() as u32;
         }
+    }
+
+    fn phase(&self, round: u64) -> Option<u64> {
+        Some(round % self.period as u64)
     }
 }
 

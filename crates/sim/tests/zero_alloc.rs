@@ -5,13 +5,17 @@
 //! that are only ever cleared — so once an execution has warmed up, a round
 //! of the engine must not touch the allocator at all. This binary installs
 //! a counting allocator to hold the engine to that, on the paper's
-//! Figure-2 stack under every adversary of the `sweep-stabilise` workload.
+//! Figure-2 stack under every adversary of the `sweep-stabilise` workload
+//! and every face kind of the oblivious strategies (packed, ring, gather).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use sc_core::{Algorithm, CounterBuilder, CounterState};
-use sc_sim::{adversaries, Adversary, Simulation};
+use sc_protocol::{NodeId, SyncProtocol};
+use sc_sim::{adversaries, random_periodic, two_faced_periodic, Adversary, Simulation};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Per thread, so
@@ -78,9 +82,12 @@ fn allocations_in_steady_state<A: Adversary<CounterState>>(
     after - before
 }
 
-/// Holds none / crash / random / two-faced on `faulty` to zero allocations.
+/// Holds none / crash / random / two-faced, and the face kinds of fixed
+/// and random-periodic (packed), replay (ring) and two-faced-periodic
+/// (gather), on `faulty` to zero allocations.
 fn assert_no_allocation(label: &str, algo: &Algorithm, faulty: &[usize], prepared: bool) {
     let faulty = || faulty.iter().copied();
+    let state = algo.random_state(NodeId::new(0), &mut SmallRng::seed_from_u64(14));
     let measured = [
         (
             "none",
@@ -97,6 +104,22 @@ fn assert_no_allocation(label: &str, algo: &Algorithm, faulty: &[usize], prepare
         (
             "two-faced",
             allocations_in_steady_state(algo, adversaries::two_faced(algo, faulty(), 13), prepared),
+        ),
+        (
+            "fixed",
+            allocations_in_steady_state(algo, adversaries::fixed(faulty(), state), prepared),
+        ),
+        (
+            "replay",
+            allocations_in_steady_state(algo, adversaries::replay(faulty(), 3), prepared),
+        ),
+        (
+            "two-faced-periodic",
+            allocations_in_steady_state(algo, two_faced_periodic(faulty(), 15, 4), prepared),
+        ),
+        (
+            "random-periodic",
+            allocations_in_steady_state(algo, random_periodic(algo, faulty(), 16, 4), prepared),
         ),
     ];
     for (adversary, allocations) in measured {

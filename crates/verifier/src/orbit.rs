@@ -62,7 +62,7 @@
 //! configuration, steps = the lowest stuck successor, Byzantine values =
 //! the first realising combo), querying orbit ranks only for decidedness —
 //! so the emitted [`Witness`] is byte-identical to the full solver's and
-//! replays on `ScriptedAdversary` unchanged.
+//! replays through `sc_attack::scripted` unchanged.
 
 use std::collections::HashMap;
 

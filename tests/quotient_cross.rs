@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use synchronous_counting::attack::{AttackPreFilter, Script, ScriptedAdversary};
+use synchronous_counting::attack::{scripted, AttackPreFilter, Script};
 use synchronous_counting::core::{Algorithm, CounterState, LutCounter, LutSpec};
 use synchronous_counting::sim::Simulation;
 use synchronous_counting::verifier::{
@@ -262,7 +262,7 @@ fn quotient_witness_is_byte_identical_and_replays_on_the_simulator() {
         states[node] = CounterState::new(witness.configs[0][hi].into());
     }
     let script = Script::from_witness(&witness);
-    let adversary = ScriptedAdversary::new(&script, &algo);
+    let adversary = scripted(&script, &algo);
     let mut sim = Simulation::with_states(&algo, adversary, states, 0);
     let steps = witness.byz.len();
     let cycle = steps - witness.cycle_start;

@@ -1,11 +1,11 @@
 //! The strongest cross-validation in the workspace: the model checker's
 //! failure **witness** — a lasso-shaped execution with explicit Byzantine
 //! values per (round, receiver) — is replayed on the real simulator via the
-//! library-grade scripted adversary (`sc_attack::ScriptedAdversary`), and
+//! library-grade scripted adversary (`sc_attack::scripted`), and
 //! the live system follows the predicted configurations exactly, forever
 //! failing to stabilise.
 
-use synchronous_counting::attack::{Script, ScriptedAdversary};
+use synchronous_counting::attack::{scripted, Script};
 use synchronous_counting::core::{Algorithm, CounterState, LutCounter, LutSpec};
 use synchronous_counting::sim::Simulation;
 use synchronous_counting::verifier::{verify, Verdict};
@@ -46,7 +46,7 @@ fn checker_witness_replays_exactly_on_the_simulator() {
     // Algorithm's raw vocabulary is exact for LUT states, so the scripted
     // adversary fabricates precisely the witness's Byzantine values.
     let script = Script::from_witness(&witness);
-    let adversary = ScriptedAdversary::new(&script, &algo);
+    let adversary = scripted(&script, &algo);
     let mut sim = Simulation::with_states(&algo, adversary, states, 0);
 
     // Follow the script far beyond the lasso length: the live states must
@@ -118,12 +118,7 @@ fn scripted_replay_rides_the_early_decision_exit() {
     }
     let script = Script::from_witness(&witness);
     let horizon = 1 << 14;
-    let mut early = Simulation::with_states(
-        &algo,
-        ScriptedAdversary::new(&script, &algo),
-        states.clone(),
-        0,
-    );
+    let mut early = Simulation::with_states(&algo, scripted(&script, &algo), states.clone(), 0);
     let (verdict, exit) = early.run_until_stable_early(horizon);
     assert!(
         matches!(exit, synchronous_counting::sim::ExitReason::Cycle { decided_at, .. }
@@ -131,8 +126,7 @@ fn scripted_replay_rides_the_early_decision_exit() {
         "scripted lasso must be decided early, got {exit:?}"
     );
     // Bitwise-identical verdict to the full-horizon run.
-    let mut full =
-        Simulation::with_states(&algo, ScriptedAdversary::new(&script, &algo), states, 0);
+    let mut full = Simulation::with_states(&algo, scripted(&script, &algo), states, 0);
     assert_eq!(verdict, full.run_until_stable(horizon));
     assert!(verdict.is_err(), "witness executions never stabilise");
 }
