@@ -2,12 +2,14 @@
 //! live engine, with full snapshot support so scripted runs ride the
 //! early-decision exit.
 
+use std::borrow::Cow;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_core::{Algorithm, CounterState};
 use sc_protocol::{NodeId, SyncProtocol};
 use sc_sim::adversaries::normalize_faults;
-use sc_sim::FacedAdversary;
+use sc_sim::{FacedAdversary, PackedInit};
 
 use crate::script::Script;
 use crate::sliced::{raw_vocabulary, SlicedScript};
@@ -90,8 +92,15 @@ where
     R: RawState<S>,
 {
     let faulty = normalize_faults(script.fault_set().iter().copied());
-    let vocabulary = raw_vocabulary(&raw, &faulty);
-    FacedAdversary::new(SlicedScript::new(script, vocabulary), 0)
+    scripted_over(script, raw_vocabulary(&raw, &faulty))
+}
+
+/// [`scripted`] over a vocabulary already resolved by [`raw_vocabulary`].
+pub(crate) fn scripted_over<'s, S: Clone>(
+    script: &'s Script,
+    vocabulary: impl Into<Cow<'s, [PackedInit<S>]>>,
+) -> FacedAdversary<SlicedScript<'s, S>, S> {
+    FacedAdversary::new(SlicedScript::new(script, vocabulary))
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! The search objective: score a script by the stabilisation delay it
 //! inflicts on a fixed `(seed, fault set)` sweep.
 
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use sc_protocol::{Counter, Fingerprint, NodeId, SyncProtocol};
 use sc_sim::adversaries::normalize_faults;
 use sc_sim::{
-    required_confirmation, Adversary, FacedAdversary, PackedInit, Scenario, SimError, Simulation,
-    SlicedBatch, SlicedProtocol,
+    required_confirmation, Adversary, PackedInit, Scenario, SimError, Simulation, SlicedBatch,
+    SlicedProtocol,
 };
 
-use crate::adversary::RawState;
+use crate::adversary::{scripted_over, RawState};
 use crate::script::Script;
 use crate::sliced::{raw_vocabulary, SlicedScript};
 
@@ -58,7 +59,8 @@ pub struct Delay {
 /// per executed sweep (a table miss), never one per candidate.
 pub struct Objective<'a, P: SyncProtocol, R> {
     protocol: &'a P,
-    raw: R,
+    /// The raw vocabulary's source type; only its resolution is kept.
+    raw: PhantomData<R>,
     fault_set: Vec<usize>,
     horizon: u64,
     /// `(seed, initial configuration)` per scenario, sampled once.
@@ -73,11 +75,11 @@ pub struct Objective<'a, P: SyncProtocol, R> {
     vocabulary: Arc<[PackedInit<P::State>]>,
 }
 
-impl<'a, P: SyncProtocol, R: Clone> Clone for Objective<'a, P, R> {
+impl<'a, P: SyncProtocol, R> Clone for Objective<'a, P, R> {
     fn clone(&self) -> Self {
         Objective {
             protocol: self.protocol,
-            raw: self.raw.clone(),
+            raw: PhantomData,
             fault_set: self.fault_set.clone(),
             horizon: self.horizon,
             inits: self.inits.clone(),
@@ -163,7 +165,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         let vocabulary = raw_vocabulary(&raw, &normalize_faults(fault_set.iter().copied())).into();
         Ok(Objective {
             protocol,
-            raw,
+            raw: PhantomData,
             fault_set,
             horizon,
             inits,
@@ -305,7 +307,6 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     pub fn evaluate(&mut self, script: &Script) -> Delay
     where
         P: Fingerprint,
-        R: RawState<P::State>,
     {
         self.check_script(script);
         if let Some(sliced) = &self.sliced {
@@ -318,7 +319,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
             self.protocol,
             &self.inits,
             self.horizon,
-            |_| FacedAdversary::new(SlicedScript::new(script, &vocabulary[..]), 0),
+            |_| scripted_over(script, &vocabulary[..]),
             |sim, horizon| sim.run_until_stable_early(horizon).0,
         );
         self.evaluations += 1;
@@ -333,7 +334,6 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     pub fn evaluate_full(&mut self, script: &Script) -> Delay
     where
         P: Fingerprint,
-        R: RawState<P::State>,
     {
         self.check_script(script);
         let vocabulary = &self.vocabulary;
@@ -341,7 +341,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
             self.protocol,
             &self.inits,
             self.horizon,
-            |_| FacedAdversary::new(SlicedScript::new(script, &vocabulary[..]), 0),
+            |_| scripted_over(script, &vocabulary[..]),
             Simulation::run_until_stable,
         );
         self.evaluations += 1;
@@ -355,7 +355,6 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
             &self.fault_set[..],
             "script corrupts a different fault set than the objective sweeps"
         );
-        let _ = script;
     }
 }
 

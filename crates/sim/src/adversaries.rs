@@ -150,7 +150,7 @@ pub fn crash<P: SyncProtocol>(
     faulty: impl IntoIterator<Item = usize>,
     seed: u64,
 ) -> FacedAdversary<SlicedPalette<P::State>, P::State> {
-    FacedAdversary::new(sliced_crash(protocol, faulty, &[seed]), 0)
+    FacedAdversary::new(sliced_crash(protocol, faulty, &[seed]))
 }
 
 /// Fully random Byzantine noise: a fresh arbitrary state for every
@@ -326,7 +326,7 @@ pub fn replay<S: Clone>(
     faulty: impl IntoIterator<Item = usize>,
     delay: usize,
 ) -> FacedAdversary<SlicedReplay, S> {
-    FacedAdversary::new(SlicedReplay::new(faulty, delay), 0)
+    FacedAdversary::new(SlicedReplay::new(faulty, delay))
 }
 
 /// Sends the caller-supplied state to every receiver in every round.
@@ -342,7 +342,7 @@ pub fn fixed<S: Clone>(
     faulty: impl IntoIterator<Item = usize>,
     state: S,
 ) -> FacedAdversary<SlicedPalette<S>, S> {
-    FacedAdversary::new(SlicedPalette::fixed(faulty, state), 0)
+    FacedAdversary::new(SlicedPalette::fixed(faulty, state))
 }
 
 /// Two-faced equivocation with a **periodic, seed-derived donor schedule**:
@@ -363,7 +363,7 @@ pub fn two_faced_periodic<S: Clone>(
     seed: u64,
     period: usize,
 ) -> FacedAdversary<SlicedTwoFacedPeriodic, S> {
-    FacedAdversary::new(SlicedTwoFacedPeriodic::new(faulty, &[seed], period), 0)
+    FacedAdversary::new(SlicedTwoFacedPeriodic::new(faulty, &[seed], period))
 }
 
 /// Fresh-noise attack with a **periodic, seed-derived state palette**:
@@ -373,6 +373,11 @@ pub fn two_faced_periodic<S: Clone>(
 /// [`adversaries::random`](crate::adversaries::random), but the palette is
 /// sampled once and each entry **pinned** the first time it is shown (like
 /// a crash adversary's frozen states), so the strategy snapshots.
+///
+/// # Panics
+///
+/// Panics if the palette, `period · |faulty| · n` states, exceeds 65536
+/// (the packed face ids are `u16`): on A(36,7), any period above 260.
 pub fn random_periodic<P: SyncProtocol>(
     protocol: &P,
     faulty: impl IntoIterator<Item = usize>,
@@ -380,7 +385,7 @@ pub fn random_periodic<P: SyncProtocol>(
     period: usize,
 ) -> FacedAdversary<SlicedPalette<P::State>, P::State> {
     let palette = SlicedPalette::sampled(protocol, faulty, &[seed], period.max(1), protocol.n());
-    FacedAdversary::new(palette, 0)
+    FacedAdversary::new(palette)
 }
 
 #[cfg(test)]

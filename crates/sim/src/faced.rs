@@ -1,5 +1,5 @@
 //! Face schedules on the scalar engine: an oblivious strategy is one face
-//! function ([`SlicedStrategy`]), and [`FacedAdversary`] plays a lane of it
+//! function ([`SlicedStrategy`]), and [`FacedAdversary`] plays its first lane
 //! as an [`Adversary`].
 
 use sc_protocol::{FaceRef, MessageSource, NodeId, RoundFaces};
@@ -8,10 +8,11 @@ use crate::adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSuppo
 use crate::sliced::{PackedInit, SlicedStrategy};
 use crate::workspace::StatePool;
 
-/// One lane of a face schedule on the scalar engine. The face table is
-/// recomputed when the schedule's [`phase`](SlicedStrategy::phase) moves,
-/// and resolved once for the correct receivers:
-/// [`FaceRef::Honest`] and [`FaceRef::Gather`] (this lane's donor) are
+/// The first lane of a face schedule on the scalar engine (its per-lane
+/// bundles and gather donors are lane 0's: a scalar constructor builds a
+/// one-lane schedule). The face table is recomputed when the schedule's
+/// [`phase`](SlicedStrategy::phase) moves, and resolved once for the
+/// correct receivers: [`FaceRef::Honest`] and [`FaceRef::Gather`] are
 /// zero-copy echoes; a [`FaceRef::Packed`] bundle is pinned the first time
 /// it is shown, once per execution; a [`FaceRef::Ring`] replays a past
 /// broadcast, the lag clamped to the rounds seen (depth 0 is an echo),
@@ -21,7 +22,6 @@ use crate::workspace::StatePool;
 #[derive(Debug)]
 pub struct FacedAdversary<T, S> {
     schedule: T,
-    lane: usize,
     /// The ring keeps `max_lag + 1` broadcasts, the current one included.
     max_lag: usize,
     /// Network size, learnt at the first round (0 before).
@@ -46,15 +46,13 @@ pub struct FacedAdversary<T, S> {
 }
 
 impl<T: SlicedStrategy<S>, S: Clone> FacedAdversary<T, S> {
-    /// Plays lane `lane` of `schedule`: the scenario index its per-lane
-    /// bundles and gather donors are drawn for.
-    pub fn new(schedule: T, lane: usize) -> Self {
+    /// Plays lane 0 of `schedule`.
+    pub fn new(schedule: T) -> Self {
         FacedAdversary {
             max_lag: schedule.max_lag(),
             donors: vec![vec![0]; schedule.gather_tables()],
             leases: vec![None; schedule.packed_bundles().len()],
             schedule,
-            lane,
             n: 0,
             phase: None,
             moved: false,
@@ -121,9 +119,8 @@ impl<T: SlicedStrategy<S>, S: Clone> Adversary<S> for FacedAdversary<T, S> {
             self.phase = phase;
             self.schedule.faces(ctx.round, n, &mut self.faces);
             if !self.donors.is_empty() {
-                let lanes = self.lane..self.lane + 1;
                 self.schedule
-                    .gather_donors(ctx.round, n, lanes, &mut self.donors);
+                    .gather_donors(ctx.round, n, 0..1, &mut self.donors);
             }
             for (at, face) in self.faces.rows.iter().enumerate() {
                 if ctx.is_faulty(NodeId::new(at % n)) {
@@ -136,7 +133,7 @@ impl<T: SlicedStrategy<S>, S: Clone> Adversary<S> for FacedAdversary<T, S> {
                     FaceRef::Packed(id) => *self.leases[id as usize].get_or_insert_with(|| {
                         pool.pin(match &self.schedule.packed_bundles()[id as usize] {
                             PackedInit::Uniform { state, .. } => state.clone(),
-                            PackedInit::PerLane { states, .. } => states[self.lane].clone(),
+                            PackedInit::PerLane { states, .. } => states[0].clone(),
                         })
                     }),
                     FaceRef::Ring { donor, .. } => {

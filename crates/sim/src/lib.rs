@@ -25,7 +25,7 @@
 //!   equivocation, replay).
 //! * [`SlicedStrategy`] / [`FacedAdversary`] — oblivious strategies as face
 //!   schedules, written once and run on both the bit-sliced
-//!   [`SlicedBatch`] and, one lane at a time, the scalar engine.
+//!   [`SlicedBatch`] and, a schedule's first lane, the scalar engine.
 //! * [`StabilizationReport`] / [`OutputTrace`] — exact detection of the
 //!   stabilisation time of a counter execution: the earliest round after
 //!   which all correct outputs agree *and* increment modulo `c` every round.

@@ -11,9 +11,13 @@
 //!   one digest per case. Scripted cases leave `fabricated_states` out:
 //!   scripted `Raw` moves are now pinned once per execution instead of
 //!   fabricated once per round;
-//! * the `decided_at` round of every cycle exit. The adapter's snapshot may
-//!   be coarser than the hand-written one (it never folds which packed
-//!   states are already pinned), so it may decide earlier, never later.
+//! * the `decided_at` round of every cycle exit. A scripted adapter's
+//!   snapshot is coarser than the hand-written one: its ring folds the
+//!   `max_lag` past broadcasts a later round can still read, where the
+//!   hand-written strategy also folded the oldest, which none can. So a
+//!   scripted cycle exit may decide earlier, never later (every recorded
+//!   one decides 1–4 rounds earlier); every other exit decides at the
+//!   recorded round.
 //!
 //! [`FacedAdversary`]: synchronous_counting::sim::FacedAdversary
 
@@ -99,6 +103,10 @@ fn check(label: &str, full: &BatchReport, early: &BatchReport, scripted: bool, p
         assert!(
             at <= recorded,
             "{label}: cycle exit {i} decided at {at}, after the recorded {recorded}"
+        );
+        assert!(
+            scripted || at == recorded,
+            "{label}: cycle exit {i} decided at {at}, not the recorded {recorded}"
         );
     }
 }
@@ -260,6 +268,27 @@ fn followmax_matches_the_recorded_strategies() {
 }
 
 #[test]
+fn followmax_two_faults_match_the_recorded_strategies() {
+    // Two faulty senders share the replay ring, and replay's donors
+    // {0, 2, 3, 5} leave correct node 6 out: this is the multi-sender ring
+    // snapshot's cycle-exit gate (A(12,3) recorded no cycle exit at
+    // horizons up to 4000).
+    let p = FollowMax { n: 7, c: 8 };
+    let scenarios = Scenario::seeds(0..16);
+    sweep(
+        "FollowMax two faults",
+        &p,
+        &[1, 4],
+        6,
+        SampledRaw(&p),
+        &scenarios,
+        96,
+        &|_| None,
+        &FOLLOWMAX_TWO_FAULTS,
+    );
+}
+
+#[test]
 fn a4_matches_the_recorded_strategies() {
     // Node 1 faulty: replay's donors {0, 3} are a strict subset of the
     // correct nodes, so a ring snapshot of every correct node would be
@@ -288,6 +317,22 @@ const FOLLOWMAX: [Pin; 11] = [
     /* scripted-0 */ Pin { full: 0x2c3ccadec23ce0b7, early: 0xee699fced715a0d7, decided: &[18, 24, 17, 18, 15, 20, 18, 25, 17, 15, 15, 15, 15, 20, 19, 21] },
     /* scripted-1 */ Pin { full: 0xb3e82882afd06825, early: 0xbbfb7eded2e05c51, decided: &[11, 17, 15, 15, 17, 15, 11, 17, 7, 17, 17, 17, 17, 15, 17, 17] },
     /* scripted-2 */ Pin { full: 0xb3e82882afd06825, early: 0xbbfb7eded2e05c51, decided: &[17, 17, 17, 23, 23, 26, 17, 23, 17, 26, 26, 11, 26, 20, 17, 17] },
+];
+
+/// FollowMax { n: 7, c: 8 }, nodes 1 and 4 faulty, seeds 0..16, horizon 96.
+#[rustfmt::skip]
+const FOLLOWMAX_TWO_FAULTS: [Pin; 11] = [
+    /* crash */ Pin { full: 0xce44924c54ac2c9d, early: 0x94f4dc50f2d0b741, decided: &[2, 4, 7, 5, 5, 3, 2, 4, 2, 6, 5, 4, 5, 2, 8, 7] },
+    /* fixed */ Pin { full: 0x0a1d6ab1a53ad777, early: 0x61ebea1b8da10277, decided: &[3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3] },
+    /* replay-1 */ Pin { full: 0x1dc8dffb9e87037d, early: 0x53abc913d81deb59, decided: &[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9] },
+    /* replay-2 */ Pin { full: 0x90734c7a46c6ec62, early: 0x9fe5593de7601669, decided: &[13, 16, 11, 13, 11, 15, 11, 11, 11, 13, 11, 11, 11, 13, 12, 11] },
+    /* replay-3 */ Pin { full: 0xf36c1a390c124a61, early: 0x3ddb957bfc844f1a, decided: &[22, 22, 21, 18, 15, 20, 21, 15, 15, 17, 15, 15, 21, 19, 16, 21] },
+    /* replay-4 */ Pin { full: 0x2cdcbc8988b15de5, early: 0x65af0d5daee70eaf, decided: &[42, 29, 31, 25, 21, 29, 28, 33, 21, 23, 38, 26, 42, 42, 22, 28] },
+    /* two-faced-periodic */ Pin { full: 0x1dc8dffb9e87037d, early: 0x53abc913d81deb59, decided: &[25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25] },
+    /* random-periodic */ Pin { full: 0xead9f5f0d63087f3, early: 0x478e486232358a2b, decided: &[7, 7, 8, 4, 5, 4, 8, 5, 5, 6, 8, 5, 4, 4, 8, 8] },
+    /* scripted-0 */ Pin { full: 0x7d859a08dcf28a89, early: 0xb0050d1930ed06d5, decided: &[16, 10, 15, 11, 12, 12, 9, 12, 15, 12, 9, 12, 15, 16, 12, 15] },
+    /* scripted-1 */ Pin { full: 0x7d859a08dcf28a89, early: 0xb0050d1930ed06d5, decided: &[15, 17, 16, 23, 31, 27, 27, 31, 14, 15, 17, 23, 16, 15, 15, 16] },
+    /* scripted-2 */ Pin { full: 0x7d859a08dcf28a89, early: 0xb0050d1930ed06d5, decided: &[29, 27, 35, 27, 28, 27, 24, 35, 28, 27, 35, 35, 31, 29, 27, 24] },
 ];
 
 /// A(4,1), node 1 faulty, seeds 0..6, horizon 3 · 2304.
