@@ -8,8 +8,9 @@
 //! * the trivial counter increments as a mux'd adder;
 //! * LUT counters become one-hot row selectors over their tables;
 //! * the boosted transition lowers the three-stage majority vote of §3.3 to
-//!   popcount/threshold networks and the phase-king instruction sets of
-//!   Table 2 to comparator trees over the *encoded* register domain, where
+//!   fused threshold ops (every count is only ever compared with a
+//!   threshold) and the phase-king instruction sets of Table 2 to
+//!   comparator trees over the *encoded* register domain, where
 //!   the codec's `∞ ↦ C` mapping turns `min{C, a[ℓ]}` into the identity and
 //!   the two increment flavours (guarded on `∞`, unguarded after a king
 //!   adoption) into small mux networks.
@@ -18,10 +19,10 @@
 //! worth of leader candidates (every stack built by [`crate::CounterBuilder`]
 //! has `k ∈ {3, 4}`), the leader pointer `b = (⌊v/τ⌋ / (2m)^i) mod m` of a
 //! member of block `i` is just *bit `2i`* of the quotient `⌊v/τ⌋`, so block
-//! support votes are single-plane popcounts. And for the innermost trivial
-//! counter the lowering tracks `(⌊v/τ⌋, v mod τ)` incrementally in derived
-//! "ext" planes of each bundle — updated by two mux'd adders per round
-//! instead of a restoring division per member per compile.
+//! support votes are thresholds over single planes. And for the innermost
+//! trivial counter the lowering tracks `(⌊v/τ⌋, v mod τ)` incrementally in
+//! derived "ext" planes of each bundle — updated by two mux'd adders per
+//! round instead of a division per member per round.
 //!
 //! The scalar engine stays the oracle: `SlicedBatch` runs produce verdicts
 //! through the same [`sc_sim::OnlineDetector`], and the tests here assert
@@ -39,7 +40,7 @@ use sc_sim::{RoundProgramSource, SlicedProtocol};
 
 use crate::algorithm::{Algorithm, CounterState};
 use crate::boosted::BoostedCounter;
-use crate::dag::{Builder, NodeRef};
+use crate::dag::{Builder, FxHashMap, NodeRef};
 use crate::params::BoostParams;
 
 /// Largest LUT row count (`|X|^n`) the lowering will unroll into one-hot
@@ -245,66 +246,25 @@ impl Ctx {
         self.b.divmod_const(v, p.tau()).1
     }
 
-    /// Popcount with inputs split into receiver-shared and
-    /// receiver-specific parts. A program lowers every receiver against
-    /// the same honest bundles, so summing the shared bits as their own
-    /// subtree makes it intern to one node across all receivers; a single
-    /// mixed-order tree would interleave specific bits and break that
-    /// sharing. The value is the plain sum either way.
-    fn popcount_split(&mut self, shared: &[NodeRef], specific: &[NodeRef]) -> NodeRef {
-        if shared.is_empty() {
-            return self.b.popcount(specific);
-        }
-        if specific.is_empty() {
-            return self.b.popcount(shared);
-        }
-        let s = self.b.popcount(shared);
-        let x = self.b.popcount(specific);
-        let w = self.b.width(s).max(self.b.width(x)) + 1;
-        self.b.add_width(s, x, w)
-    }
-
     /// The three-stage majority vote of §3.3: per-block support bits, the
     /// elected leader (one bit, `m = 2`), and the leader block's slot
-    /// counter `R` as a strict-majority-or-zero select.
-    ///
-    /// `mask[u]` flags refs that vary per receiver (faulty senders); it
-    /// steers the popcount splits only, never the values.
-    fn vote_slot(&mut self, bc: &BoostedCounter, refs: &[BundleRef], mask: &[bool]) -> NodeRef {
+    /// counter `R` as a strict-majority-or-zero select. Every vote count
+    /// is only compared with a threshold, so each is one
+    /// [`Builder::at_least`].
+    fn vote_slot(&mut self, bc: &BoostedCounter, refs: &[BundleRef]) -> NodeRef {
         let p = bc.params();
         let (k, n) = (p.k(), p.n_inner());
         let rw = bits_for(p.tau()) as u16;
 
-        let mut support = Vec::with_capacity(k);
-        let mut support_shared = Vec::with_capacity(k);
-        for i in 0..k {
-            let mut shared = Vec::with_capacity(n);
-            let mut specific = Vec::new();
-            for j in 0..n {
-                let u = p.member(i, j).index();
-                let bit = self.pointer_b_bit(bc.inner(), p, i, j, &refs[u]);
-                if mask[u] {
-                    specific.push(bit);
-                } else {
-                    shared.push(bit);
-                }
-            }
-            let all_shared = specific.is_empty();
-            let pc = self.popcount_split(&shared, &specific);
-            support.push(self.b.gt_const(pc, (n / 2) as u64));
-            support_shared.push(all_shared);
-        }
-        let mut shared = Vec::with_capacity(k);
-        let mut specific = Vec::new();
-        for (&s, &is_shared) in support.iter().zip(&support_shared) {
-            if is_shared {
-                shared.push(s);
-            } else {
-                specific.push(s);
-            }
-        }
-        let pc = self.popcount_split(&shared, &specific);
-        let leader = self.b.gt_const(pc, (k / 2) as u64);
+        let support: Vec<NodeRef> = (0..k)
+            .map(|i| {
+                let bits: Vec<NodeRef> = (0..n)
+                    .map(|j| self.pointer_b_bit(bc.inner(), p, i, j, &refs[p.member(i, j).index()]))
+                    .collect();
+                self.b.at_least(&bits, n / 2 + 1)
+            })
+            .collect();
+        let leader = self.b.at_least(&support, k / 2 + 1);
 
         // majority_or(·, 0): the strict-majority value is unique, so an
         // OR-fold of masked candidates reproduces it (and 0 by default).
@@ -313,33 +273,19 @@ impl Ctx {
         // over the whole majority network: compute majority_or per leader
         // candidate on the raw pointer arrays (mostly receiver-shared
         // nodes) and mux once at the end — majority over leader-muxed
-        // values would poison every eq/popcount with the
+        // values would poison every eq/threshold with the
         // receiver-specific leader bit and defeat cross-receiver CSE.
         let zero = self.b.constant(0, rw);
         let mut slots = [zero; 2];
         for (m, slot_m) in slots.iter_mut().enumerate() {
             let rs: Vec<NodeRef> = (0..n)
-                .map(|j| {
-                    let r = self.pointer_r(bc.inner(), p, j, &refs[p.member(m, j).index()]);
-                    self.b.zext(r, rw)
-                })
+                .map(|j| self.pointer_r(bc.inner(), p, j, &refs[p.member(m, j).index()]))
                 .collect();
-            let spec: Vec<bool> = (0..n).map(|j| mask[p.member(m, j).index()]).collect();
             let mut acc = zero;
-            for j in 0..n {
-                let mut shared = Vec::with_capacity(n);
-                let mut specific = Vec::new();
-                for u in 0..n {
-                    let e = self.b.eq(rs[j], rs[u]);
-                    if spec[u] {
-                        specific.push(e);
-                    } else {
-                        shared.push(e);
-                    }
-                }
-                let cnt = self.popcount_split(&shared, &specific);
-                let maj = self.b.gt_const(cnt, (n / 2) as u64);
-                let val = self.b.mux(maj, rs[j], zero);
+            for &rj in &rs {
+                let agree: Vec<NodeRef> = rs.iter().map(|&ru| self.b.eq(rj, ru)).collect();
+                let maj = self.b.at_least(&agree, n / 2 + 1);
+                let val = self.b.mux(maj, rj, zero);
                 acc = self.b.or(acc, val);
             }
             *slot_m = acc;
@@ -379,7 +325,6 @@ impl Ctx {
         local: usize,
         refs: &[BundleRef],
         slot: NodeRef,
-        mask: &[bool],
     ) -> (NodeRef, NodeRef) {
         let p = bc.params();
         let pk = p.pk();
@@ -396,21 +341,11 @@ impl Ctx {
         let is_collect = self.b.eq_const(s3, 0);
         let is_propose = self.b.eq_const(s3, 1);
 
-        // z_{a[v]}, shared by I_{3ℓ} (keep test) and I_{3ℓ+1} (d update).
-        // Split like the adoption counts below so the tree interns with
-        // the `u == local` iteration there.
-        let mut eq_shared = Vec::with_capacity(n);
-        let mut eq_specific = Vec::new();
-        for (v, &au) in a_all.iter().enumerate() {
-            let e = self.b.eq(au, a_self);
-            if mask[v] {
-                eq_specific.push(e);
-            } else {
-                eq_shared.push(e);
-            }
-        }
-        let cnt_own = self.popcount_split(&eq_shared, &eq_specific);
-        let keep_own = self.b.ge_const(cnt_own, pk.keep_threshold() as u64);
+        // z_{a[v]} ≥ N − F, shared by I_{3ℓ} (keep test) and I_{3ℓ+1}
+        // (d update). Its operand list is the `u == local` adoption count's
+        // below, so the two thresholds share one list.
+        let own: Vec<NodeRef> = a_all.iter().map(|&au| self.b.eq(au, a_self)).collect();
+        let keep_own = self.b.at_least(&own, pk.keep_threshold());
         let cap = self.b.constant(c, aw);
 
         // I_{3ℓ}: reset to ∞ unless N−F support, then increment.
@@ -421,25 +356,12 @@ impl Ctx {
         // nothing qualifies — the fold's initial value, since enc(∞) = C
         // sorts above every real value).
         let mut a_min = cap;
-        for u in 0..n {
-            let mut shared = Vec::with_capacity(n);
-            let mut specific = Vec::new();
-            // Split on the *column* flag only: even when a_all[u] itself is
-            // receiver-specific, the honest-column subtree coincides across
-            // receivers whenever faulty sender u shows them the same face.
-            for (v, &av) in a_all.iter().enumerate() {
-                let e = self.b.eq(a_all[u], av);
-                if mask[v] {
-                    specific.push(e);
-                } else {
-                    shared.push(e);
-                }
-            }
-            let cnt = self.popcount_split(&shared, &specific);
-            let qual = self.b.gt_const(cnt, pk.adopt_threshold() as u64);
-            let less = self.b.lt(a_all[u], a_min);
+        for &au in &a_all {
+            let agree: Vec<NodeRef> = a_all.iter().map(|&av| self.b.eq(au, av)).collect();
+            let qual = self.b.at_least(&agree, pk.adopt_threshold() + 1);
+            let less = self.b.lt(au, a_min);
             let better = self.b.and(qual, less);
-            a_min = self.b.mux(better, a_all[u], a_min);
+            a_min = self.b.mux(better, au, a_min);
         }
         let a_propose = self.inc_guarded(a_min, c, aw);
 
@@ -468,15 +390,8 @@ impl Ctx {
     }
 
     /// The full transition of `local` at one recursion level: next-state
-    /// fields in encode order. `mask[u]` flags receiver-specific refs
-    /// (see [`Ctx::popcount_split`]).
-    fn step(
-        &mut self,
-        algo: &Algorithm,
-        local: usize,
-        refs: &[BundleRef],
-        mask: &[bool],
-    ) -> Lowered {
+    /// fields in encode order.
+    fn step(&mut self, algo: &Algorithm, local: usize, refs: &[BundleRef]) -> Lowered {
         match algo {
             Algorithm::Trivial(t) => {
                 let tb = t.state_bits() as u16;
@@ -545,12 +460,9 @@ impl Ctx {
                 let block_refs: Vec<BundleRef> = (0..p.n_inner())
                     .map(|j| refs[p.member(block, j).index()].clone())
                     .collect();
-                let block_mask: Vec<bool> = (0..p.n_inner())
-                    .map(|j| mask[p.member(block, j).index()])
-                    .collect();
-                let mut lowered = self.step(bc.inner(), inner_local, &block_refs, &block_mask);
-                let slot = self.vote_slot(bc, refs, mask);
-                let (a, d) = self.pk_step(bc, local, refs, slot, mask);
+                let mut lowered = self.step(bc.inner(), inner_local, &block_refs);
+                let slot = self.vote_slot(bc, refs);
+                let (a, d) = self.pk_step(bc, local, refs, slot);
                 lowered.state.push(a);
                 lowered.state.push(d);
                 lowered
@@ -596,7 +508,9 @@ pub struct SlicedAlgorithm {
     faulty: Vec<NodeId>,
     ext: Option<ExtSpec>,
     packed: HashMap<u16, Option<Arc<BitVec>>>,
-    cache: HashMap<RoundFaces, Arc<Program>>,
+    /// Compiled programs by face table. Probed once per executed round
+    /// under the model lock, hence the cheap hasher.
+    cache: FxHashMap<RoundFaces, Arc<Program>>,
 }
 
 impl SlicedAlgorithm {
@@ -617,7 +531,7 @@ impl SlicedAlgorithm {
             faulty: faulty.to_vec(),
             ext,
             packed: HashMap::new(),
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
         })
     }
 
@@ -704,17 +618,12 @@ impl RoundProgramSource for SlicedAlgorithm {
             state_bits: self.layout.state_bits,
         };
         let mut stores = Vec::new();
-        // Faulty senders' refs depend on the receiver (their faces differ
-        // per v); honest bundles are the same planes for every receiver.
-        let mask: Vec<bool> = (0..n)
-            .map(|u| self.faulty.binary_search(&NodeId::new(u)).is_ok())
-            .collect();
         for v in 0..n {
             if self.faulty.binary_search(&NodeId::new(v)).is_ok() {
                 continue;
             }
             let refs: Vec<BundleRef> = (0..n).map(|u| self.resolve(u, v, faces)).collect();
-            let lowered = ctx.step(&self.algo, v, &refs, &mask);
+            let lowered = ctx.step(&self.algo, v, &refs);
             let mut off = self.layout.node_base(v as u32);
             for &f in &lowered.state {
                 stores.push((f, off));

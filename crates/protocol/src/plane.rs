@@ -4,9 +4,10 @@
 //! scenario state *column-wise* instead: one `u64` word per state bit holds
 //! that bit for 64 scenarios ("lanes") at once, and a protocol transition
 //! lowered to word ops (see `sc-core`'s DAG builder) advances all lanes with
-//! a single pass of AND/OR/XOR/MUX/adder networks. The layout follows the
-//! codec in [`crate::BitVec`]: bit `i` of an encoded state maps to plane `i`
-//! of its bundle, so plane order is MSB-first exactly like `push_bits`.
+//! a single pass of AND/OR/XOR/MUX, adder, divider and threshold networks.
+//! The layout follows the codec in [`crate::BitVec`]: bit `i` of an encoded
+//! state maps to plane `i` of its bundle, so plane order is MSB-first
+//! exactly like `push_bits`.
 //!
 //! The pieces:
 //!
@@ -15,7 +16,16 @@
 //! * [`Op`] / [`Program`] — a flat bytecode of word operations over plane
 //!   ranges, executed by [`Program::exec`] against an [`ExecSpaces`] bundle
 //!   of input arenas (current state, replay ring, packed constants, gather
-//!   tables).
+//!   tables). The ops:
+//!   - data movement: [`Op::Load`] from an input arena, [`Op::Const`],
+//!     [`Op::Store`] into the next-state arena;
+//!   - plane-wise logic: [`Op::Not`], [`Op::And`], [`Op::Or`], [`Op::Xor`],
+//!     [`Op::Mux`];
+//!   - arithmetic on MSB-first fields: [`Op::Eq`], [`Op::Lt`], [`Op::Add`];
+//!   - fused ops that compute a whole sub-circuit in registers in one
+//!     dispatch: [`Op::DivMod`] (quotient and remainder by a constant) and
+//!     [`Op::AtLeast`] (at least `k` of a list of planes, the list kept in
+//!     [`Program::operands`]).
 //! * [`FaceRef`] / [`RoundFaces`] — how one round's adversarial faces are
 //!   named when compiling a round program: each (faulty sender, receiver)
 //!   pair resolves to an honest broadcast, a ring lag, a packed bundle, or a
@@ -24,6 +34,7 @@
 //!   planes, output field) shared between the lowering and the engine.
 
 use crate::bits::BitVec;
+use crate::bits_for;
 
 /// Transposed scenario state: `planes × lane_words` words of 64 lanes each.
 ///
@@ -325,29 +336,31 @@ pub enum Op {
         /// Result width in planes.
         w: u16,
     },
-    /// `dst = (a - b) mod 2^w` (two's complement: `a + !b + 1`).
-    Sub {
-        /// Destination plane offset.
+    /// Restoring division of the `aw`-plane value at `a` by the constant
+    /// `d ≥ 2`: writes the `aw` quotient planes at `dst`, then the
+    /// `bits_for(d)` remainder planes right after them.
+    DivMod {
+        /// Destination plane offset (quotient, then remainder).
         dst: u32,
-        /// Left operand plane offset.
+        /// Dividend plane offset.
         a: u32,
-        /// Left operand width.
+        /// Dividend width (= quotient width).
         aw: u16,
-        /// Right operand plane offset.
-        b: u32,
-        /// Right operand width.
-        bw: u16,
-        /// Result width in planes.
-        w: u16,
+        /// The constant divisor.
+        d: u32,
     },
-    /// `dst[0..w] = a[0..w]` within the scratch arena.
-    Copy {
-        /// Destination plane offset.
+    /// Single-plane threshold: set in every lane where at least `k` of the
+    /// `len` single planes listed at [`Program::operands`]`[list..]` are
+    /// set. The list is a multiset; a plane listed twice counts twice.
+    AtLeast {
+        /// Destination plane offset (1 plane).
         dst: u32,
-        /// Source plane offset.
-        a: u32,
-        /// Planes copied.
-        w: u16,
+        /// First index of the operand list in [`Program::operands`].
+        list: u32,
+        /// Number of listed planes.
+        len: u16,
+        /// The threshold.
+        k: u16,
     },
     /// Writes `src[0..w]` of the scratch arena into the *next-state* arena
     /// at plane `off`.
@@ -384,19 +397,38 @@ pub struct ExecSpaces<'a> {
 pub struct Program {
     /// The operations, in execution order (already topologically sorted).
     pub ops: Vec<Op>,
+    /// Scratch plane offsets of the list operands ([`Op::AtLeast`]): an op
+    /// names its list as a range of this vector.
+    pub operands: Vec<u32>,
     /// Scratch arena height in planes.
     pub arena_planes: u32,
 }
 
+/// Widest divisor [`Op::DivMod`] takes, in bits: its working remainder is
+/// one plane wider and lives in a fixed register array.
+const MAX_DIVISOR_BITS: usize = 31;
+
+/// Remainder width of [`Op::DivMod`] by `d`: `bits_for(d)` planes.
+fn remainder_width(d: u32) -> u16 {
+    bits_for(d.into()) as u16
+}
+
+/// A scratch-arena plane range: `(first plane, planes)`.
+type PlaneRange = (u32, u16);
+
 impl Op {
-    /// The scratch-arena plane ranges `(first plane, planes)` this op reads
-    /// (unused slots are empty) and the one it writes ([`Op::Store`] writes
-    /// the next-state arena instead: empty).
-    fn scratch_planes(&self) -> ([(u32, u16); 3], (u32, u16)) {
-        const NONE: (u32, u16) = (0, 0);
-        match *self {
+    /// The scratch-arena plane ranges this op reads (unused slots are
+    /// empty), the single planes its operand list reads (`None` when the
+    /// list runs past `operands`), and the range it writes ([`Op::Store`]
+    /// writes the next-state arena instead: empty).
+    fn scratch_planes<'a>(
+        &self,
+        operands: &'a [u32],
+    ) -> ([PlaneRange; 3], Option<&'a [u32]>, PlaneRange) {
+        const NONE: PlaneRange = (0, 0);
+        let (reads, write) = match *self {
             Op::Load { dst, w, .. } | Op::Const { dst, w, .. } => ([NONE; 3], (dst, w)),
-            Op::Not { dst, a, w } | Op::Copy { dst, a, w } => ([(a, w), NONE, NONE], (dst, w)),
+            Op::Not { dst, a, w } => ([(a, w), NONE, NONE], (dst, w)),
             Op::And { dst, a, b, w } | Op::Or { dst, a, b, w } | Op::Xor { dst, a, b, w } => {
                 ([(a, w), (b, w), NONE], (dst, w))
             }
@@ -411,17 +443,15 @@ impl Op {
                 b,
                 bw,
                 w,
-            }
-            | Op::Sub {
-                dst,
-                a,
-                aw,
-                b,
-                bw,
-                w,
             } => ([(a, aw), (b, bw), NONE], (dst, w)),
+            Op::DivMod { dst, a, aw, d } => ([(a, aw), NONE, NONE], (dst, aw + remainder_width(d))),
+            Op::AtLeast { dst, list, len, .. } => {
+                let list = operands.get(list as usize..list as usize + len as usize);
+                return ([NONE; 3], list, (dst, 1));
+            }
             Op::Store { src, w, .. } => ([(src, w), NONE, NONE], NONE),
-        }
+        };
+        (reads, Some(&[]), write)
     }
 }
 
@@ -433,10 +463,12 @@ impl Program {
     pub fn unwritten_read(&self) -> Option<usize> {
         let mut written = vec![false; self.arena_planes as usize];
         for (index, op) in self.ops.iter().enumerate() {
-            let (reads, (dst, w)) = op.scratch_planes();
-            let unwritten = reads.iter().any(|&(at, w)| {
-                (at..at + u32::from(w)).any(|p| written.get(p as usize) != Some(&true))
-            });
+            let (reads, list, (dst, w)) = op.scratch_planes(&self.operands);
+            let unread = |p: u32| written.get(p as usize) != Some(&true);
+            let unwritten = reads
+                .iter()
+                .any(|&(at, w)| (at..at + u32::from(w)).any(unread))
+                || list.is_none_or(|list| list.iter().any(|&p| unread(p)));
             if unwritten {
                 return Some(index);
             }
@@ -584,30 +616,29 @@ impl Program {
                         }
                     }
                 }
-                Op::Sub {
-                    dst,
-                    a,
-                    aw,
-                    b,
-                    bw,
-                    w,
-                } => {
+                Op::DivMod { dst, a, aw, d } => {
+                    // SSA: the dividend lies below `dst`.
+                    let (lo, hi) = scratch.split_at_mut(dst as usize * lw);
+                    let a = a as usize;
                     for k in 0..lw {
-                        let mut carry = u64::MAX; // the +1 of two's complement
-                        for j in 0..w as u32 {
-                            let av = operand_bit(scratch, &idx, a, aw, j, k);
-                            let bv = !operand_bit(scratch, &idx, b, bw, j, k);
-                            let sum = av ^ bv ^ carry;
-                            carry = (av & bv) | (carry & (av ^ bv));
-                            scratch[idx(dst + (w as u32 - 1 - j), k)] = sum;
-                        }
+                        divmod_kernel(
+                            aw as usize,
+                            d,
+                            |j| lo[(a + j) * lw + k],
+                            |i, word| hi[i * lw + k] = word,
+                        );
                     }
                 }
-                Op::Copy { dst, a, w } => {
-                    for i in 0..w as u32 {
-                        for k in 0..lw {
-                            scratch[idx(dst + i, k)] = scratch[idx(a + i, k)];
-                        }
+                Op::AtLeast {
+                    dst,
+                    list,
+                    len,
+                    k: at,
+                } => {
+                    let list = &self.operands[list as usize..][..len as usize];
+                    for k in 0..lw {
+                        let word = at_least_kernel(at, list.iter().map(|&p| scratch[idx(p, k)]));
+                        scratch[idx(dst, k)] = word;
                     }
                 }
                 Op::Store { src, off, w } => {
@@ -772,41 +803,15 @@ impl Program {
                         carry = (x & y) | (carry & (x ^ y));
                     }
                 }
-                Op::Sub {
-                    dst,
-                    a,
-                    aw,
-                    b,
-                    bw,
-                    w,
-                } => {
+                Op::DivMod { dst, a, aw, d } => {
                     let (lo, hi) = scratch.split_at_mut(dst as usize);
-                    let (a, b) = (a as usize, b as usize);
-                    let (w, aw, bw) = (w as usize, aw as usize, bw as usize);
-                    let hi = &mut hi[..w];
-                    let m = w.min(aw).min(bw);
-                    let mut carry = u64::MAX; // the +1 of two's complement
-                    let xs = lo[a + aw - m..a + aw].iter().rev();
-                    let ys = lo[b + bw - m..b + bw].iter().rev();
-                    for ((d, &x), &y) in hi.iter_mut().rev().zip(xs).zip(ys) {
-                        let y = !y;
-                        *d = x ^ y ^ carry;
-                        carry = (x & y) | (carry & (x ^ y));
-                    }
-                    for j in m..w {
-                        let x = if j < aw { lo[a + aw - 1 - j] } else { 0 };
-                        let y = if j < bw {
-                            !lo[b + bw - 1 - j]
-                        } else {
-                            u64::MAX
-                        };
-                        hi[w - 1 - j] = x ^ y ^ carry;
-                        carry = (x & y) | (carry & (x ^ y));
-                    }
+                    let dividend = win(lo, a, aw);
+                    divmod_kernel(aw as usize, d, |j| dividend[j], |i, word| hi[i] = word);
                 }
-                Op::Copy { dst, a, w } => {
-                    let (lo, hi) = scratch.split_at_mut(dst as usize);
-                    hi[..w as usize].copy_from_slice(win(lo, a, w));
+                Op::AtLeast { dst, list, len, k } => {
+                    let list = &self.operands[list as usize..][..len as usize];
+                    let word = at_least_kernel(k, list.iter().map(|&p| scratch[p as usize]));
+                    scratch[dst as usize] = word;
                 }
                 Op::Store { src, off, w } => {
                     for i in 0..w as u32 {
@@ -834,6 +839,119 @@ fn operand_bit(
     } else {
         0
     }
+}
+
+/// One lane word of [`Op::DivMod`]: restoring division of the MSB-first
+/// dividend (`dividend(j)` is plane `j` of `aw`) by `d`, all in registers.
+/// `put(i, word)` receives result plane `i`: the `aw` quotient planes, then
+/// the `bits_for(d)` remainder planes, both MSB-first.
+///
+/// The working remainder is a fixed-size array sized from the divisor's
+/// width, so the compiler unrolls every per-step loop over registers.
+#[inline(always)]
+fn divmod_kernel(aw: usize, d: u32, dividend: impl Fn(usize) -> u64, put: impl FnMut(usize, u64)) {
+    match remainder_width(d) {
+        0..=1 => divmod_fixed::<2>(aw, d, dividend, put),
+        2 => divmod_fixed::<3>(aw, d, dividend, put),
+        3 => divmod_fixed::<4>(aw, d, dividend, put),
+        4 => divmod_fixed::<5>(aw, d, dividend, put),
+        5 => divmod_fixed::<6>(aw, d, dividend, put),
+        _ => divmod_fixed::<{ MAX_DIVISOR_BITS + 1 }>(aw, d, dividend, put),
+    }
+}
+
+/// [`divmod_kernel`] over a `W`-plane working remainder, `W > bits_for(d)`:
+/// `2r + bit < 2d ≤ 2^(bits_for(d) + 1)`, and planes above that stay 0.
+#[inline(always)]
+fn divmod_fixed<const W: usize>(
+    aw: usize,
+    d: u32,
+    dividend: impl Fn(usize) -> u64,
+    mut put: impl FnMut(usize, u64),
+) {
+    let rw = usize::from(remainder_width(d));
+    assert!(d >= 2 && rw < W, "divisor {d} out of range");
+    // The divisor's bits as lane masks, LSB-first.
+    let dm: [u64; W] = std::array::from_fn(|i| 0u64.wrapping_sub(u64::from(d >> i & 1)));
+    // Working remainder, LSB-first.
+    let mut r = [0u64; W];
+    // The largest value `r` can hold in any lane.
+    let mut bound = 0u32;
+    for j in 0..aw {
+        // `2r + bit`: `r < d`, so its top plane is 0 and the shift drops
+        // nothing. Whole-array rebuilds (never an in-place shift) keep `r`
+        // in registers.
+        let bit = dividend(j);
+        let shifted: [u64; W] = std::array::from_fn(|i| if i == 0 { bit } else { r[i - 1] });
+        bound = 2 * bound + 1;
+        if bound < d {
+            // Below the divisor in every lane: quotient bit 0, no subtract.
+            r = shifted;
+            put(j, 0);
+            continue;
+        }
+        // `r - d` by a borrow chain; no borrow out ⇔ `r ≥ d`.
+        let mut diff = [0u64; W];
+        let mut borrow = 0u64;
+        for i in 0..W {
+            let (x, t) = (shifted[i], shifted[i] ^ dm[i]);
+            diff[i] = t ^ borrow;
+            borrow = (!x & dm[i]) | (!t & borrow);
+        }
+        let ge = !borrow;
+        r = std::array::from_fn(|i| shifted[i] ^ (ge & (diff[i] ^ shifted[i])));
+        bound = d - 1;
+        put(j, ge);
+    }
+    for (i, &plane) in r.iter().enumerate().take(rw) {
+        put(aw + rw - 1 - i, plane);
+    }
+}
+
+/// One lane word of [`Op::AtLeast`]: whether at least `k` of `bits` are
+/// set. The bits are summed into a bit-sliced counter just wide enough for
+/// their number, a fixed-size array the compiler keeps in registers.
+#[inline(always)]
+fn at_least_kernel(k: u16, bits: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let len = bits.len();
+    if usize::from(k) > len {
+        return 0;
+    }
+    // Planes to hold a count of `len`: `bits_for(len + 1)`.
+    match usize::BITS - len.leading_zeros() {
+        0..=2 => at_least_fixed::<2>(k, bits),
+        3 => at_least_fixed::<3>(k, bits),
+        4 => at_least_fixed::<4>(k, bits),
+        5 => at_least_fixed::<5>(k, bits),
+        6 => at_least_fixed::<6>(k, bits),
+        // A u16 list length needs at most 16 planes.
+        _ => at_least_fixed::<16>(k, bits),
+    }
+}
+
+/// [`at_least_kernel`] over a `B`-plane counter, `k ≤ len < 2^B`.
+#[inline(always)]
+fn at_least_fixed<const B: usize>(k: u16, bits: impl Iterator<Item = u64>) -> u64 {
+    // LSB-first.
+    let mut count = [0u64; B];
+    for mut carry in bits {
+        for c in &mut count {
+            let sum = *c ^ carry;
+            carry &= *c;
+            *c = sum;
+        }
+    }
+    // `count < k`, scanning from the most significant plane.
+    let (mut lt, mut eq) = (0u64, u64::MAX);
+    for (i, &c) in count.iter().enumerate().rev() {
+        if u32::from(k) >> i & 1 == 1 {
+            lt |= eq & !c;
+            eq &= c;
+        } else {
+            eq &= !c;
+        }
+    }
+    !lt
 }
 
 /// Where one (faulty sender, receiver) face of a round comes from.
@@ -1022,6 +1140,7 @@ mod tests {
                     w: dw as u16,
                 },
             ],
+            operands: Vec::new(),
             arena_planes: arena,
         };
         let mut next = PlaneBuf::new(dw as usize, 2);
@@ -1056,25 +1175,6 @@ mod tests {
             12,
             8,
             |a, b| a + b,
-        );
-    }
-
-    #[test]
-    fn sub_matches_scalar_modulo_width() {
-        check_binop(
-            Op::Sub {
-                dst: 12,
-                a: 0,
-                aw: 6,
-                b: 6,
-                bw: 6,
-                w: 6,
-            },
-            6,
-            6,
-            12,
-            6,
-            |a, b| a.wrapping_sub(b),
         );
     }
 
@@ -1188,6 +1288,7 @@ mod tests {
                     w: 4,
                 },
             ],
+            operands: Vec::new(),
             arena_planes: 24,
         };
         let mut next = PlaneBuf::new(16, 1);
@@ -1250,6 +1351,7 @@ mod tests {
                     w: 4,
                 },
             ],
+            operands: Vec::new(),
             arena_planes: 4,
         };
         let mut next = PlaneBuf::new(4, 1);
@@ -1280,6 +1382,7 @@ mod tests {
         let store = |src| Op::Store { src, off: 0, w: 2 };
         let program = |ops| Program {
             ops,
+            operands: Vec::new(),
             arena_planes: 4,
         };
         assert_eq!(program(vec![load, not(0), store(2)]).unwritten_read(), None);
@@ -1325,6 +1428,7 @@ mod tests {
                     w: 2,
                 },
             ],
+            operands: Vec::new(),
             arena_planes: 6,
         };
         assert_eq!(prog.unwritten_read(), None);
@@ -1342,6 +1446,180 @@ mod tests {
         for lane in 0..64 {
             assert_eq!(dirty.lane_bit(1, lane), lane % 6 == 0);
         }
+    }
+
+    /// Runs `prog` against `cur` and returns the `out` next-state planes.
+    fn run(prog: &Program, cur: &PlaneBuf, out: usize) -> PlaneBuf {
+        let mut next = PlaneBuf::new(out, cur.lane_words());
+        let spaces = ExecSpaces {
+            cur,
+            ring: &[],
+            packed: &[],
+            gather: &[],
+        };
+        prog.exec(&spaces, &mut next, &mut Vec::new());
+        next
+    }
+
+    #[test]
+    fn divmod_matches_scalar_division() {
+        let mut rng = 0xd1f0_0000_0000_0007u64;
+        // Ragged lane counts at one and two lane words.
+        for (lw, lanes) in [(1, 50), (2, 100)] {
+            // 100 takes the widest working remainder.
+            for d in [2u32, 3, 9, 15, 27, 100] {
+                let rw = u32::from(remainder_width(d));
+                for aw in 1..=12u32 {
+                    let values: Vec<u64> = (0..lanes)
+                        .map(|_| xorshift(&mut rng) & ((1 << aw) - 1))
+                        .collect();
+                    let mut cur = PlaneBuf::new(aw as usize, lw);
+                    for (lane, &v) in values.iter().enumerate() {
+                        let mut bits = BitVec::new();
+                        bits.push_bits(v, aw);
+                        cur.pack_lane(lane, 0, &bits);
+                    }
+                    let prog = Program {
+                        ops: vec![
+                            Op::Load {
+                                dst: 0,
+                                space: Space::Cur,
+                                off: 0,
+                                w: aw as u16,
+                            },
+                            Op::DivMod {
+                                dst: aw,
+                                a: 0,
+                                aw: aw as u16,
+                                d,
+                            },
+                            Op::Store {
+                                src: aw,
+                                off: 0,
+                                w: (aw + rw) as u16,
+                            },
+                        ],
+                        operands: Vec::new(),
+                        arena_planes: 2 * aw + rw,
+                    };
+                    assert_eq!(prog.unwritten_read(), None);
+                    let next = run(&prog, &cur, (aw + rw) as usize);
+                    for (lane, &v) in values.iter().enumerate() {
+                        let q = next.read_value(lane, 0, aw as usize);
+                        let r = next.read_value(lane, aw as usize, rw as usize);
+                        let d = u64::from(d);
+                        assert_eq!((q, r), (v / d, v % d), "lw {lw} aw {aw} d {d} lane {lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn at_least_matches_scalar_counts() {
+        // Planes 0..6 are per-lane bits, plane 6 is all-ones, plane 7
+        // all-zeroes; the list repeats planes 2 and 0. Repeated seven
+        // times it needs the widest counter.
+        const LIST: [u32; 10] = [0, 1, 2, 3, 4, 5, 2, 6, 7, 0];
+        let mut rng = 0xa7_1ea5_7000_0003u64;
+        for list in [LIST.to_vec(), LIST.repeat(7)] {
+            let len = list.len() as u16;
+            for (lw, lanes) in [(1, 61), (2, 97)] {
+                let mut cur = PlaneBuf::new(6, lw);
+                let mut counts = Vec::new();
+                for lane in 0..lanes {
+                    let v = xorshift(&mut rng) & 0x3f;
+                    let mut bits = BitVec::new();
+                    bits.push_bits(v, 6);
+                    cur.pack_lane(lane, 0, &bits);
+                    let bit = |p: u32| match p {
+                        6 => 1,
+                        7 => 0,
+                        p => (v >> (5 - p)) & 1,
+                    };
+                    counts.push(list.iter().map(|&p| bit(p)).sum::<u64>());
+                }
+                let thresholds: Vec<u16> = (0..=len + 1).collect();
+                let mut ops = vec![
+                    Op::Load {
+                        dst: 0,
+                        space: Space::Cur,
+                        off: 0,
+                        w: 6,
+                    },
+                    Op::Const {
+                        dst: 6,
+                        value: 0b10,
+                        w: 2,
+                    },
+                ];
+                for (i, &k) in thresholds.iter().enumerate() {
+                    ops.push(Op::AtLeast {
+                        dst: 8 + i as u32,
+                        list: 0,
+                        len,
+                        k,
+                    });
+                }
+                let out = thresholds.len() as u16;
+                ops.push(Op::Store {
+                    src: 8,
+                    off: 0,
+                    w: out,
+                });
+                let prog = Program {
+                    ops,
+                    operands: list.clone(),
+                    arena_planes: 8 + u32::from(out),
+                };
+                assert_eq!(prog.unwritten_read(), None);
+                let next = run(&prog, &cur, out.into());
+                for (lane, &count) in counts.iter().enumerate() {
+                    for (i, &k) in thresholds.iter().enumerate() {
+                        assert_eq!(
+                            next.lane_bit(i, lane),
+                            count >= u64::from(k),
+                            "len {len} lw {lw} lane {lane}: {count} set, k = {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unwritten_read_sees_list_operands() {
+        let load = Op::Load {
+            dst: 0,
+            space: Space::Cur,
+            off: 0,
+            w: 2,
+        };
+        let at_least = |list, len| Op::AtLeast {
+            dst: 3,
+            list,
+            len,
+            k: 1,
+        };
+        let program = |ops, operands| Program {
+            ops,
+            operands,
+            arena_planes: 4,
+        };
+        assert_eq!(
+            program(vec![load, at_least(0, 2)], vec![0, 1]).unwritten_read(),
+            None
+        );
+        // Plane 2 is listed but nothing writes it.
+        assert_eq!(
+            program(vec![load, at_least(0, 3)], vec![0, 1, 2]).unwritten_read(),
+            Some(1)
+        );
+        // A list that runs past `operands` is flagged too.
+        assert_eq!(
+            program(vec![load, at_least(1, 2)], vec![0, 1]).unwritten_read(),
+            Some(1)
+        );
     }
 
     #[test]

@@ -1187,6 +1187,7 @@ mod tests {
             }
             let program = Arc::new(Program {
                 ops,
+                operands: Vec::new(),
                 arena_planes: top,
             });
             self.cache.insert(faces.clone(), program.clone());
