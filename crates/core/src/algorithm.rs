@@ -299,6 +299,19 @@ impl Counter for Algorithm {
         out.push_wide(state.0, self.state_bits());
     }
 
+    /// Trivial: always — the one node increments its own value. Boosted:
+    /// the outermost layer's registers agree on a finite `a` with `d = 1`
+    /// ([`BoostedCounter::closed`], Lemma 5); the output reads `a` alone,
+    /// so the layers beneath need not have stabilised. Table-driven: never,
+    /// until a table's closed set is derived.
+    fn closed(&self, states: &[CounterState], honest: &[NodeId]) -> bool {
+        match self {
+            Algorithm::Trivial(_) => true,
+            Algorithm::Lut(_) => false,
+            Algorithm::Boosted(b) => b.closed(states, honest),
+        }
+    }
+
     fn decode_state(
         &self,
         _node: NodeId,

@@ -150,6 +150,30 @@ impl BoostedCounter {
         )
     }
 
+    /// Lemma 5's configuration: every correct node of `honest` holds the
+    /// same registers `(a, d = 1)` with a finite `a < C`.
+    ///
+    /// Table 2 maps such a node's `(a, 1)` to `(a + 1 mod C, 1)` in every
+    /// instruction set, whatever slot it executes and whatever the ≤ F
+    /// faulty nodes send: `I_{3ℓ}` sees ≥ N − F copies of `a`, `I_{3ℓ+1}`
+    /// finds `a` the only value with more than F support, and `I_{3ℓ+2}`
+    /// ignores the king when `d = 1`. The configuration therefore recurs
+    /// every round, and the output — a function of `a` alone — counts
+    /// modulo C from here to any horizon. (`sc-consensus`'s
+    /// `table2_closure` suite checks the instruction sets exhaustively at
+    /// small N.)
+    pub fn closed(&self, states: &[CounterState], honest: &[NodeId]) -> bool {
+        // The registers are the low `regs_bits` of the word: `a` with
+        // `∞ ↦ C` above `d` in bit 0.
+        let regs = |id: &NodeId| states[id.index()].word() & ((1 << self.regs_bits) - 1);
+        let Some(first) = honest.first().map(regs) else {
+            return false;
+        };
+        first & 1 == 1
+            && first >> 1 < u128::from(self.params.c_out())
+            && honest.iter().all(|id| regs(id) == first)
+    }
+
     /// The raw inner counter value node `local` of a block announces with
     /// this level's `state`: `h(j, state)` before any block-modulus
     /// reduction. The plain and the prepared step both vote with it.

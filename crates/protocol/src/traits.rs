@@ -139,6 +139,21 @@ pub trait Counter: SyncProtocol {
         node: NodeId,
         input: &mut BitReader<'_>,
     ) -> Result<Self::State, CodecError>;
+
+    /// Whether the correct nodes `honest` of the configuration `states`
+    /// are **closed**: from this configuration on, whatever the faulty
+    /// nodes send, every round's correct outputs agree and increment
+    /// modulo [`Counter::modulus`] — forever, so the rest of any horizon is
+    /// decided without executing it.
+    ///
+    /// A `true` is a proof obligation, not a heuristic: engines stop
+    /// executing on it (`sc-sim`'s `Batch`), so a counter answers `true`
+    /// only where a lemma covers the configuration — Lemma 5 for the
+    /// boosted counter. The default, `false`, is always sound.
+    fn closed(&self, states: &[Self::State], honest: &[NodeId]) -> bool {
+        let _ = (states, honest);
+        false
+    }
 }
 
 /// A counter whose executions can be **fingerprinted** for sound

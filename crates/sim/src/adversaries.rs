@@ -136,6 +136,10 @@ impl<S> Adversary<S> for NoFaults {
         // No faults, no state: the configuration is the correct nodes alone.
         SnapshotSupport::Deterministic
     }
+
+    fn fabrication_per_round(&self, _n: usize) -> Option<u64> {
+        Some(0)
+    }
 }
 
 /// Crash-style faults: each faulty node freezes an arbitrary state (sampled
@@ -233,6 +237,12 @@ impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for FreshRandom<F> {
     ) -> MessageSource {
         pool.fabricate((self.sample)(from, &mut self.rng))
     }
+
+    fn fabrication_per_round(&self, n: usize) -> Option<u64> {
+        // One fresh state per (faulty sender, correct receiver).
+        let f = self.faulty.len();
+        Some((f * n.saturating_sub(f)) as u64)
+    }
 }
 
 /// Two-faced equivocation: each round the adversary picks two *honest donor
@@ -308,6 +318,12 @@ impl<S, F: Fn(NodeId, &mut SmallRng) -> S> Adversary<S> for TwoFaced<F> {
             .as_ref()
             .expect("begin_round not called")
             .for_receiver(to)
+    }
+
+    fn fabrication_per_round(&self, n: usize) -> Option<u64> {
+        // Both faces echo correct donors; only an all-faulty network
+        // samples (and fabricates) its faces.
+        (n > self.faulty.len()).then_some(0)
     }
 }
 

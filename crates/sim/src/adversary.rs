@@ -171,6 +171,22 @@ pub trait Adversary<S> {
         let _ = (round, out);
         SnapshotSupport::Opaque
     }
+
+    /// The **ledger projection** of the closure exit: the exact number of
+    /// states this strategy fabricates through [`StatePool::fabricate`] in
+    /// every round from the next one on, in an `n`-node network — pinned
+    /// states and echoes do not count, as in the ledger itself.
+    ///
+    /// An engine that stops a run early because the correct nodes are
+    /// provably closed ([`Counter::closed`](sc_protocol::Counter::closed))
+    /// adds `rate × rounds skipped` to the fabrication ledger, so the
+    /// ledger equals the full-horizon one. `None` (the default) means the
+    /// count is not known in advance — it depends on the states, the round
+    /// or the random draws — and keeps such runs at their full horizon.
+    fn fabrication_per_round(&self, n: usize) -> Option<u64> {
+        let _ = n;
+        None
+    }
 }
 
 impl<S, A: Adversary<S> + ?Sized> Adversary<S> for Box<A> {
@@ -194,6 +210,10 @@ impl<S, A: Adversary<S> + ?Sized> Adversary<S> for Box<A> {
 
     fn snapshot(&self, round: u64, out: &mut AdversarySnapshot<'_, S>) -> SnapshotSupport {
         (**self).snapshot(round, out)
+    }
+
+    fn fabrication_per_round(&self, n: usize) -> Option<u64> {
+        (**self).fabrication_per_round(n)
     }
 }
 

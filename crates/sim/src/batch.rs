@@ -109,10 +109,13 @@ pub struct ScenarioOutcome {
     /// over this execution (see [`Simulation::fabricated_states`]) — the
     /// fabrication-cost ledger Byzantine sweeps are benchmarked on.
     pub fabricated_states: u64,
-    /// How the execution finished: full horizon, opted-out (RNG-driven), or
-    /// an early cycle exit — the early-decision ledger next to
-    /// `fabricated_states`. Always [`ExitReason::FullHorizon`] on the
-    /// non-early entry points ([`Batch::run`], [`Batch::run_prepared`]).
+    /// How the execution finished: full horizon, opted-out (RNG-driven),
+    /// an early cycle exit, or a closure exit — the early-decision ledger
+    /// next to `fabricated_states`. The fixed-horizon entry points
+    /// ([`Batch::run`], [`Batch::run_prepared`]) report
+    /// [`ExitReason::Closed`] or [`ExitReason::FullHorizon`]; the early
+    /// ones ([`Batch::run_early`], [`Batch::run_prepared_early`]) never
+    /// report `Closed`.
     pub exit_reason: ExitReason,
 }
 
@@ -186,8 +189,8 @@ impl BatchReport {
             .count()
     }
 
-    /// Total rounds of a `horizon`-round sweep that were decided
-    /// algebraically instead of executed — the early-decision ledger.
+    /// Total rounds of a `horizon`-round sweep that a cycle or closure exit
+    /// decided instead of executing them — the early-decision ledger.
     pub fn rounds_saved(&self, horizon: u64) -> u64 {
         self.outcomes
             .iter()
@@ -255,6 +258,12 @@ impl<'a, P: Counter> Batch<'a, P> {
 
     /// Runs one scenario to completion, detecting stabilisation on the
     /// fly; `step` selects the engine path (plain or prepared).
+    ///
+    /// Stops at the first round the closure exit's preconditions hold
+    /// ([`Simulation::closure_rate`]): the remaining rounds are recorded as
+    /// good transitions and their fabrications as `rate` per round, so the
+    /// outcome equals the full-horizon one but for its
+    /// [`ExitReason::Closed`].
     fn run_one<A, F, S>(
         &self,
         scenario: &Scenario<P::State>,
@@ -281,15 +290,26 @@ impl<'a, P: Counter> Batch<'a, P> {
         let mut sim = self.simulation(scenario, factory);
         let mut detector = OnlineDetector::new(self.protocol.modulus());
         detector.observe(sim.agreed_output_now());
-        for _ in 0..self.horizon {
+        let mut exit_reason = ExitReason::FullHorizon;
+        let mut unexecuted_fabrications = 0;
+        for round in 0..self.horizon {
+            if let Some(rate) = sim.closure_rate() {
+                // Closed: every remaining round counts, and the adversary
+                // fabricates `rate` states in each — record both unexecuted.
+                let rest = self.horizon - round;
+                detector.extend_counting(rest);
+                unexecuted_fabrications = rate * rest;
+                exit_reason = ExitReason::Closed { decided_at: round };
+                break;
+            }
             step(&mut sim);
             detector.observe(sim.agreed_output_now());
         }
         ScenarioOutcome {
             seed: scenario.seed,
             result: detector.finish(confirm),
-            fabricated_states: sim.fabricated_states(),
-            exit_reason: ExitReason::FullHorizon,
+            fabricated_states: sim.fabricated_states() + unexecuted_fabrications,
+            exit_reason,
         }
     }
 
@@ -348,6 +368,13 @@ impl<'a, P: Counter> Batch<'a, P> {
     /// stateful). Scenarios are distributed over worker threads;
     /// adversaries are created inside their worker, so only the factory
     /// itself must be `Sync`.
+    ///
+    /// A scenario stops executing at the first round its correct nodes are
+    /// [closed](Counter::closed) under an adversary whose
+    /// [fabrication rate](Adversary::fabrication_per_round) is known — the
+    /// **closure exit**, [`ExitReason::Closed`]. The rest of the horizon is
+    /// recorded, not executed: the verdict and the fabrication ledger are
+    /// bitwise the full-horizon ones.
     pub fn run<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
         A: Adversary<P::State>,

@@ -38,8 +38,8 @@ use crate::SimError;
 /// early-decision sweeps are benchmarked on, next to `fabricated_states`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExitReason {
-    /// Every horizon round was executed (no recurrence inside the horizon,
-    /// or the run was rejected before it started).
+    /// Every horizon round was executed (no recurrence or closure inside
+    /// the horizon, or the run was rejected before it started).
     FullHorizon,
     /// The protocol's transition or the adversary's strategy is RNG-driven
     /// (opted out of fingerprinting), so the engine never armed the cycle
@@ -57,15 +57,29 @@ pub enum ExitReason {
         /// Round at which the recurrence closed and execution stopped.
         decided_at: u64,
     },
+    /// After round `decided_at` the correct nodes were closed
+    /// ([`Counter::closed`](sc_protocol::Counter::closed): their outputs
+    /// count from there on, whatever the faulty nodes send) and the
+    /// adversary's fabrication rate was known
+    /// ([`Adversary::fabrication_per_round`](crate::Adversary::fabrication_per_round)),
+    /// so the remaining `horizon − decided_at` rounds were recorded as
+    /// counting without executing them. Verdict and fabrication ledger
+    /// equal the full-horizon ones.
+    Closed {
+        /// Round at which the closure held and execution stopped.
+        decided_at: u64,
+    },
 }
 
 impl ExitReason {
     /// Rounds of a `horizon`-round sweep that were *not* executed thanks to
-    /// the early exit (0 for full-horizon and opaque runs).
+    /// a cycle or closure exit (0 for full-horizon and opaque runs).
     pub fn rounds_saved(&self, horizon: u64) -> u64 {
         match self {
-            ExitReason::Cycle { decided_at, .. } => horizon.saturating_sub(*decided_at),
-            _ => 0,
+            ExitReason::Cycle { decided_at, .. } | ExitReason::Closed { decided_at } => {
+                horizon.saturating_sub(*decided_at)
+            }
+            ExitReason::FullHorizon | ExitReason::Opaque => 0,
         }
     }
 }
@@ -447,5 +461,6 @@ mod tests {
         assert_eq!(cycle.rounds_saved(100), 85);
         assert_eq!(ExitReason::FullHorizon.rounds_saved(100), 0);
         assert_eq!(ExitReason::Opaque.rounds_saved(100), 0);
+        assert_eq!(ExitReason::Closed { decided_at: 30 }.rounds_saved(100), 70);
     }
 }

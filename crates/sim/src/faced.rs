@@ -200,4 +200,10 @@ impl<T: SlicedStrategy<S>, S: Clone> Adversary<S> for FacedAdversary<T, S> {
         }
         SnapshotSupport::Deterministic
     }
+
+    fn fabrication_per_round(&self, _n: usize) -> Option<u64> {
+        // Without a ring every face is an echo or a pinned bundle; ring
+        // faces fabricate per (depth, donor) as the schedule names them.
+        (self.max_lag == 0).then_some(0)
+    }
 }

@@ -22,6 +22,7 @@ struct Inner {
     stabilized: Arc<CounterCell>,
     full_horizon: Arc<CounterCell>,
     cycle_exits: Arc<CounterCell>,
+    closed_exits: Arc<CounterCell>,
     opaque_exits: Arc<CounterCell>,
     stab_round: Arc<LogHistogram>,
     started: Instant,
@@ -45,6 +46,7 @@ impl SimObs {
                 stabilized: registry.counter("sim.stabilized"),
                 full_horizon: registry.counter("sim.exit.full_horizon"),
                 cycle_exits: registry.counter("sim.exit.cycle"),
+                closed_exits: registry.counter("sim.exit.closed"),
                 opaque_exits: registry.counter("sim.exit.opaque"),
                 stab_round: registry.histogram("sim.stabilization_round"),
                 registry,
@@ -69,6 +71,7 @@ impl SimObs {
             ExitReason::FullHorizon => inner.full_horizon.inc(),
             ExitReason::Opaque => inner.opaque_exits.inc(),
             ExitReason::Cycle { .. } => inner.cycle_exits.inc(),
+            ExitReason::Closed { .. } => inner.closed_exits.inc(),
         }
         if let Ok(report) = &outcome.result {
             inner.stabilized.inc();

@@ -380,6 +380,17 @@ where
         let trace = self.run_trace(horizon);
         detect_stabilization(&trace, modulus, confirm)
     }
+
+    /// The two preconditions of the closure exit, checked now: the correct
+    /// nodes are closed ([`Counter::closed`]) and the adversary's
+    /// fabrication rate is known ([`Adversary::fabrication_per_round`]).
+    /// Returns that rate when both hold.
+    pub(crate) fn closure_rate(&self) -> Option<u64> {
+        let rate = self.adversary.fabrication_per_round(self.states.len())?;
+        self.protocol
+            .closed(&self.states, &self.honest)
+            .then_some(rate)
+    }
 }
 
 impl<'a, P, A> Simulation<'a, P, A>

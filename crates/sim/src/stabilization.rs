@@ -174,6 +174,27 @@ impl OnlineDetector {
         self.prev = Some(agreed);
     }
 
+    /// Records `count` further good transitions: the agreed output keeps
+    /// incrementing modulo the modulus from the last observed row — what
+    /// [`observe`](OnlineDetector::observe) would record over `count`
+    /// rounds of a closed execution
+    /// ([`Counter::closed`](sc_protocol::Counter::closed)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last observed row had no agreed output: a closed
+    /// configuration always agrees, so that is a broken closure predicate.
+    pub(crate) fn extend_counting(&mut self, count: u64) {
+        let last = self
+            .prev
+            .flatten()
+            .expect("a closed configuration has an agreed output");
+        let m = u128::from(self.modulus);
+        let next = (u128::from(last % self.modulus) + u128::from(count)) % m;
+        self.prev = Some(Some(next as u64));
+        self.transitions += count;
+    }
+
     /// Transitions observed so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
@@ -419,6 +440,26 @@ mod tests {
                 online.finish(2),
                 "pattern {pattern} rows {rows:?}"
             );
+        }
+    }
+
+    #[test]
+    fn extend_counting_equals_observing_the_count() {
+        for modulus in [2u64, 3, 7] {
+            for start in 0..modulus {
+                for count in 0..3 * modulus {
+                    let mut observed = OnlineDetector::new(modulus);
+                    observed.observe(None);
+                    observed.observe(Some(start));
+                    let mut extended = observed;
+                    for k in 1..=count {
+                        observed.observe(Some((start + k) % modulus));
+                    }
+                    extended.extend_counting(count);
+                    assert_eq!(extended.finish(1), observed.finish(1));
+                    assert_eq!(extended.prev, observed.prev);
+                }
+            }
         }
     }
 

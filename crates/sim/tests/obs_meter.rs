@@ -29,6 +29,7 @@ fn batch_meters_match_the_report() {
     );
     assert_eq!(metrics.counter("sim.exit.full_horizon"), Some(24));
     assert_eq!(metrics.counter("sim.exit.cycle"), Some(0));
+    assert_eq!(metrics.counter("sim.exit.closed"), Some(0));
     let hist = metrics.hist("sim.stabilization_round").expect("histogram");
     assert_eq!(hist.count, observed.summary().stabilized as u64);
     assert!(obs.scenarios_per_sec() > 0.0);
@@ -80,4 +81,44 @@ fn detached_bundle_counts_nothing() {
         .run(&scenarios, |_| adversaries::none());
     assert_eq!(obs.scenarios_done(), 0);
     assert!(obs.metrics().is_none());
+}
+
+#[test]
+fn closure_exits_tally_on_a12() {
+    // A(12,3) with its Figure-2 fault set under two-faced equivocation:
+    // the fixed-horizon batch stops every scenario whose correct registers
+    // agree (Lemma 5) and meters each stop as `sim.exit.closed`.
+    let algo = sc_core::CounterBuilder::corollary1(1, 2)
+        .unwrap()
+        .boost(3)
+        .unwrap()
+        .build()
+        .unwrap();
+    let horizon = sc_protocol::Counter::stabilization_bound(&algo) + 64;
+    let scenarios = Scenario::seeds(0..8);
+    let obs = SimObs::recording();
+    let report = Batch::new(&algo, horizon)
+        .observed(&obs)
+        .run_prepared(&scenarios, |s| {
+            adversaries::two_faced(&algo, [0, 1, 4], s.seed)
+        });
+
+    let metrics = obs.metrics().expect("recording bundle");
+    let closed = report
+        .outcomes
+        .iter()
+        .filter(|o| matches!(o.exit_reason, ExitReason::Closed { .. }))
+        .count() as u64;
+    assert_eq!(metrics.counter("sim.exit.closed"), Some(closed));
+    assert_eq!(
+        metrics.counter("sim.exit.full_horizon"),
+        Some(8 - closed),
+        "the rest ran the full horizon"
+    );
+    assert_eq!(metrics.counter("sim.exit.cycle"), Some(0));
+    assert!(
+        closed > 0,
+        "two-faced A(12,3) runs close within the horizon"
+    );
+    assert!(report.rounds_saved(horizon) > 0);
 }

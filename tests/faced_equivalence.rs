@@ -19,6 +19,13 @@
 //!   one decides 1–4 rounds earlier); every other exit decides at the
 //!   recorded round.
 //!
+//! The fixed-horizon entry points now stop at Lemma 5's closure
+//! ([`ExitReason::Closed`]) under the adapters that fabricate nothing. Its
+//! verdict and ledger are the full-horizon ones by construction, so the
+//! digest folds it as a full-horizon exit (kind 0) and the pins stay as
+//! recorded; every closure exit is also replayed by hand at the full
+//! horizon and must equal that replay.
+//!
 //! [`FacedAdversary`]: synchronous_counting::sim::FacedAdversary
 
 use rand::rngs::SmallRng;
@@ -28,8 +35,8 @@ use synchronous_counting::core::{Algorithm, CounterBuilder, CounterState};
 use synchronous_counting::protocol::{Counter, Fingerprint, NodeId, SyncProtocol};
 use synchronous_counting::sim::testing::FollowMax;
 use synchronous_counting::sim::{
-    adversaries, random_periodic, two_faced_periodic, Adversary, Batch, BatchReport, ExitReason,
-    Scenario,
+    adversaries, random_periodic, required_confirmation, two_faced_periodic, Adversary, Batch,
+    BatchReport, ExitReason, OnlineDetector, Scenario, Simulation,
 };
 
 /// The strategies of one protocol, in pin order.
@@ -61,7 +68,7 @@ fn digest(report: &BatchReport, scripted: bool) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for o in &report.outcomes {
         let kind = match o.exit_reason {
-            ExitReason::FullHorizon => 0,
+            ExitReason::FullHorizon | ExitReason::Closed { .. } => 0,
             ExitReason::Opaque => 1,
             ExitReason::Cycle { .. } => 2,
         };
@@ -109,6 +116,49 @@ fn check(label: &str, full: &BatchReport, early: &BatchReport, scripted: bool, p
             "{label}: cycle exit {i} decided at {at}, not the recorded {recorded}"
         );
     }
+}
+
+/// Replays every closure exit of `report` by hand at the full horizon —
+/// `Simulation::step` and an `OnlineDetector`, no exit — and returns how
+/// many there were. The exit records the rounds it skips, so its verdict
+/// and fabrication ledger must equal the replay's.
+fn check_closed_exits<P>(
+    label: &str,
+    p: &P,
+    make: &Factory<'_, P::State>,
+    scenarios: &[Scenario<P::State>],
+    report: &BatchReport,
+    horizon: u64,
+) -> usize
+where
+    P: Counter,
+{
+    let mut closed = 0;
+    for (scenario, outcome) in scenarios.iter().zip(&report.outcomes) {
+        if !matches!(outcome.exit_reason, ExitReason::Closed { .. }) {
+            continue;
+        }
+        closed += 1;
+        let mut sim = Simulation::new(p, make(scenario), scenario.seed);
+        let mut detector = OnlineDetector::new(p.modulus());
+        detector.observe(sim.agreed_output_now());
+        for _ in 0..horizon {
+            sim.step();
+            detector.observe(sim.agreed_output_now());
+        }
+        let seed = scenario.seed;
+        assert_eq!(
+            outcome.result,
+            detector.finish(required_confirmation(p.modulus())),
+            "{label} (seed {seed}): closure exit verdict"
+        );
+        assert_eq!(
+            outcome.fabricated_states,
+            sim.fabricated_states(),
+            "{label} (seed {seed}): closure exit ledger"
+        );
+    }
+    closed
 }
 
 /// Random scripts over all three move kinds, deterministic per index.
@@ -176,13 +226,15 @@ fn sweep<P, R>(
     horizon: u64,
     prepared: &Prepared<'_, P::State>,
     pins: &[Pin; 11],
-) where
+) -> usize
+where
     P: Counter + Fingerprint + Sync,
     P::State: Clone + std::fmt::Debug + Send + Sync,
     R: RawState<P::State> + Sync,
 {
     let scripts = scripts(p.n(), faulty);
     let batch = Batch::new(p, horizon).threads(2);
+    let mut closed = 0;
     for (k, name) in STRATEGIES.iter().enumerate() {
         let label = format!("{label} {name}");
         let make = factory(p, faulty, &fixed_state, &scripts, &raw, k);
@@ -199,7 +251,9 @@ fn sweep<P, R>(
             );
         }
         check(&label, &full, &early, k >= 8, &pins[k]);
+        closed += check_closed_exits(&label, p, &*make, scenarios, &full, horizon);
     }
+    closed
 }
 
 fn a4() -> Algorithm {
@@ -228,7 +282,7 @@ fn algorithm_sweep(
     seeds: std::ops::Range<u64>,
     horizon: u64,
     pins: &[Pin; 11],
-) {
+) -> usize {
     let scenarios = Scenario::seeds(seeds);
     let batch = Batch::new(algo, horizon).threads(2);
     let prepared = |make: &Factory<'_, CounterState>| {
@@ -247,7 +301,7 @@ fn algorithm_sweep(
         horizon,
         &prepared,
         pins,
-    );
+    )
 }
 
 #[test]
@@ -293,12 +347,14 @@ fn a4_matches_the_recorded_strategies() {
     // Node 1 faulty: replay's donors {0, 3} are a strict subset of the
     // correct nodes, so a ring snapshot of every correct node would be
     // finer than the recorded one.
-    algorithm_sweep("A(4,1)", &a4(), &[1], 0..6, 3 * 2304, &A4);
+    let closed = algorithm_sweep("A(4,1)", &a4(), &[1], 0..6, 3 * 2304, &A4);
+    assert!(closed > 0, "A(4,1): no closure exit to replay");
 }
 
 #[test]
 fn a12_matches_the_recorded_strategies() {
-    algorithm_sweep("A(12,3)", &a12(), &[0, 5, 10], 0..4, 160, &A12);
+    let closed = algorithm_sweep("A(12,3)", &a12(), &[0, 5, 10], 0..4, 160, &A12);
+    assert!(closed > 0, "A(12,3): no closure exit to replay");
 }
 
 // Recorded from the hand-written strategies these adapters replaced.
