@@ -4,7 +4,7 @@
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
-use sc_protocol::{Counter, Fingerprint, NodeId, SyncProtocol};
+use sc_protocol::{Counter, NodeId, SyncProtocol};
 use sc_sim::adversaries::normalize_faults;
 use sc_sim::{
     required_confirmation, Adversary, PackedInit, Scenario, SimError, Simulation, SlicedBatch,
@@ -48,8 +48,8 @@ pub struct Delay {
 /// There are two engines, verdict-identical on every script. By default the
 /// inner loop is the scalar [`Simulation::run_until_stable_early`]: scripted
 /// adversaries snapshot, so a run is decided at the first recurrence of a
-/// (configuration, script position) pair — stabilised or not — and never
-/// executes the rounds after it. [`Objective::attach_sliced`] swaps in the
+/// (configuration, script position) pair — stabilised or not — or at the
+/// counter's closure, and never executes the rounds after it. [`Objective::attach_sliced`] swaps in the
 /// bit-sliced engine, which has no early exit and always executes the full
 /// horizon, 64 scenarios per word; see there for which one to pick.
 ///
@@ -214,7 +214,6 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     /// [`Batch`](sc_sim::Batch) adversary factory.
     pub fn measure<A, F>(&mut self, factory: F) -> Delay
     where
-        P: Fingerprint,
         A: Adversary<P::State>,
         F: FnMut(u64) -> A,
     {
@@ -304,10 +303,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     }
 
     /// Scores `script` on the sweep (the search's inner loop).
-    pub fn evaluate(&mut self, script: &Script) -> Delay
-    where
-        P: Fingerprint,
-    {
+    pub fn evaluate(&mut self, script: &Script) -> Delay {
         self.check_script(script);
         if let Some(sliced) = &self.sliced {
             let delay = sliced(script);
@@ -331,10 +327,7 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     /// sliced path. Verdicts — and therefore delays — are guaranteed
     /// identical (`early ≡ full ≡ sliced`); property tests assert it, which
     /// makes this the oracle both fast paths are checked against.
-    pub fn evaluate_full(&mut self, script: &Script) -> Delay
-    where
-        P: Fingerprint,
-    {
+    pub fn evaluate_full(&mut self, script: &Script) -> Delay {
         self.check_script(script);
         let vocabulary = &self.vocabulary;
         let delay = sweep(

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sc_protocol::Fingerprint;
+use sc_protocol::Counter;
 
 use crate::adversary::RawState;
 use crate::objective::{Delay, Objective};
@@ -144,7 +144,7 @@ fn random_slice<P, R>(
     slice: u64,
 ) -> SearchReport
 where
-    P: Fingerprint,
+    P: Counter,
     R: RawState<P::State>,
 {
     let mut rng = task_rng(cfg.seed, task);
@@ -190,7 +190,7 @@ fn climb_restart<P, R>(
     slice: u64,
 ) -> SearchReport
 where
-    P: Fingerprint,
+    P: Counter,
     R: RawState<P::State>,
 {
     let mut rng = task_rng(cfg.seed, task.wrapping_add(0x5eed));
@@ -348,7 +348,7 @@ impl ScoreTable {
     /// `script`'s delay: looked up, or swept and remembered.
     fn score<P, R>(&mut self, obj: &mut Objective<'_, P, R>, script: &Script) -> Delay
     where
-        P: Fingerprint,
+        P: Counter,
         R: RawState<P::State>,
     {
         if let Some(&delay) = self.scores.get(script) {
@@ -384,7 +384,7 @@ fn anneal_restart<P, R>(
     slice: u64,
 ) -> SearchReport
 where
-    P: Fingerprint,
+    P: Counter,
     R: RawState<P::State>,
 {
     let mut rng = task_rng(cfg.seed, task.wrapping_add(0xa22ea1));
@@ -515,7 +515,7 @@ fn fan_out<P, R, W>(
     worker: W,
 ) -> SearchReport
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
     W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> SearchReport + Sync,
@@ -545,7 +545,7 @@ where
 /// guided strategy must beat.
 pub fn random_search<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {
@@ -557,7 +557,7 @@ where
 /// (best delay found per evaluation in practice).
 pub fn hill_climb<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {
@@ -574,7 +574,7 @@ where
 /// [`SearchReport::sweeps`] is usually well below `evaluations`.
 pub fn anneal<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {
@@ -587,7 +587,7 @@ where
 /// prefix is scored as its own lasso, wrapping from round 0).
 pub fn beam_search<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
-    P: Fingerprint,
+    P: Counter,
     R: RawState<P::State> + Clone,
 {
     let mut obj = obj.clone();
@@ -649,7 +649,7 @@ where
 /// it. Deterministic from the seed.
 pub fn search<P, R>(obj: &Objective<'_, P, R>, cfg: &SearchConfig) -> SearchReport
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {
@@ -706,7 +706,7 @@ pub fn period_profile<P, R>(
     cfg: &SearchConfig,
 ) -> Option<Vec<PeriodPoint>>
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {

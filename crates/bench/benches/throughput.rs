@@ -9,8 +9,9 @@
 //!   regime, with the speedup factor and the **state-materialisation
 //!   ledger** — the engine baseline future PRs are judged against, and
 //! * the **early-decision table**: E1/E3-style long-horizon sweeps run
-//!   full-horizon vs. cycle-detecting ([`Batch::run_prepared_early`]), with
-//!   decided-at and rounds-saved columns per regime. Verdicts of the two
+//!   full-horizon (the looped pipeline, every round executed) vs.
+//!   [`Batch::run_prepared`], which stops at the first closure or cycle
+//!   exit, with decided-at and rounds-saved columns per regime. Verdicts of the two
 //!   modes are asserted **identical scenario for scenario** — running this
 //!   bench (e.g. `THROUGHPUT_SUMMARY_ONLY=1` in CI) is the divergence gate,
 //! * the **bit-sliced table**: objective evals/s, scalar vs sliced engine
@@ -59,7 +60,7 @@ use rand::SeedableRng;
 use sc_attack::AttackPreFilter;
 use sc_attack::{search, Delay, MoveSpace, Objective, RawState, SampledRaw, Script, SearchConfig};
 use sc_core::{Algorithm, CounterBuilder, CounterState, LutCounter, LutSpec};
-use sc_protocol::{Counter as _, Fingerprint, SyncProtocol as _};
+use sc_protocol::{Counter, SyncProtocol as _};
 use sc_pulling::{PullCounter, Pulled, Sampling};
 use sc_sim::{
     adversaries, detect_stabilization, random_periodic, required_confirmation, sleeper,
@@ -201,33 +202,21 @@ fn sweep_loop(
     (verdicts, fabricated)
 }
 
-/// The batched zero-copy pipeline for the same sweep. Returns the verdicts
-/// and the pool-fabrication ledger.
+/// The batched zero-copy pipeline for the same sweep: prepared rounds, each
+/// scenario stopping at its first closure or cycle exit.
 fn sweep_batched(
-    algo: &Algorithm,
-    factory: &AdversaryFactory<'_>,
-    seeds: u64,
-    horizon: u64,
-) -> (Verdicts, u64) {
-    let scenarios = Scenario::seeds(0..seeds);
-    let report = Batch::new(algo, horizon)
-        .run_prepared(&scenarios, |s: &Scenario<CounterState>| factory(s.seed));
-    let fabricated = report.fabricated_states();
-    let verdicts = report.outcomes.into_iter().map(|o| o.result).collect();
-    (verdicts, fabricated)
-}
-
-/// The early-decision pipeline: batched prepared rounds with the cycle
-/// detector armed.
-fn sweep_early(
     algo: &Algorithm,
     factory: &AdversaryFactory<'_>,
     seeds: u64,
     horizon: u64,
 ) -> BatchReport {
     let scenarios = Scenario::seeds(0..seeds);
-    Batch::new(algo, horizon)
-        .run_prepared_early(&scenarios, |s: &Scenario<CounterState>| factory(s.seed))
+    Batch::new(algo, horizon).run_prepared(&scenarios, |s: &Scenario<CounterState>| factory(s.seed))
+}
+
+/// A report's verdicts, in scenario order.
+fn verdicts(report: &BatchReport) -> Verdicts {
+    report.outcomes.iter().map(|o| o.result.clone()).collect()
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -280,8 +269,10 @@ fn summary_table() {
             let loop_time = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
-            let (batched, batch_fabricated) = sweep_batched(&algo, &factory, SCENARIOS, HORIZON);
+            let batched = sweep_batched(&algo, &factory, SCENARIOS, HORIZON);
             let batched_time = start.elapsed().as_secs_f64();
+            let batch_fabricated = batched.fabricated_states();
+            let batched = verdicts(&batched);
 
             // Same protocol, same seeds, same horizon ⇒ identical verdicts;
             // a throughput number for a divergent engine is meaningless.
@@ -306,7 +297,8 @@ fn summary_table() {
 }
 
 /// The early-decision table: E1/E3-style soak sweeps on A(4,1), full
-/// horizon vs. cycle-detecting, with the decided-at / rounds-saved ledger.
+/// horizon vs. closure- and cycle-exiting, with the decided-at /
+/// rounds-saved ledger.
 /// Divergence between the two modes aborts the bench — this is the verdict
 /// gate CI runs in `THROUGHPUT_SUMMARY_ONLY=1` mode.
 fn early_decision_table() {
@@ -329,19 +321,21 @@ fn early_decision_table() {
         "-".repeat(10)
     );
     for (regime, factory) in regimes(&algo, &faulty) {
+        // The full column executes every round: the looped pipeline has no
+        // exit of any kind.
         let start = Instant::now();
-        let full = sweep_batched(&algo, &factory, EARLY_SCENARIOS, EARLY_HORIZON);
+        let (full, _) = sweep_loop(&algo, &factory, EARLY_SCENARIOS, EARLY_HORIZON);
         let full_time = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let early = sweep_early(&algo, &factory, EARLY_SCENARIOS, EARLY_HORIZON);
+        let early = sweep_batched(&algo, &factory, EARLY_SCENARIOS, EARLY_HORIZON);
         let early_time = start.elapsed().as_secs_f64();
 
         // The whole point: early-exit verdicts must be bitwise identical to
         // full-horizon verdicts, scenario for scenario.
-        let early_verdicts: Verdicts = early.outcomes.iter().map(|o| o.result.clone()).collect();
         assert_eq!(
-            full.0, early_verdicts,
+            full,
+            verdicts(&early),
             "{label}/{regime}: early-exit verdict diverges from full horizon"
         );
 
@@ -349,7 +343,9 @@ fn early_decision_table() {
             .outcomes
             .iter()
             .filter_map(|o| match o.exit_reason {
-                ExitReason::Cycle { decided_at, .. } => Some(decided_at),
+                ExitReason::Cycle { decided_at, .. } | ExitReason::Closed { decided_at } => {
+                    Some(decided_at)
+                }
                 _ => None,
             })
             .max();
@@ -393,7 +389,7 @@ fn strongest_builtin<P>(
     regimes: Vec<(&'static str, AdversaryFactory<'_>)>,
 ) -> (&'static str, Delay)
 where
-    P: Fingerprint<State = CounterState>,
+    P: Counter<State = CounterState>,
 {
     let measured: Vec<(&'static str, Delay)> = regimes
         .into_iter()
@@ -442,7 +438,7 @@ fn worst_case_row<P, R>(
     budget: u64,
 ) -> WorstCaseRow
 where
-    P: Fingerprint + Sync,
+    P: Counter + Sync,
     P::State: Send + Sync,
     R: RawState<P::State> + Clone + Send + Sync,
 {

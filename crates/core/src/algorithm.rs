@@ -3,8 +3,8 @@
 use rand::RngCore;
 use sc_consensus::INFINITY;
 use sc_protocol::{
-    BitReader, BitVec, CodecError, Counter, Fingerprint, MessageView, NodeId, ParamError,
-    StepContext, SyncProtocol,
+    BitReader, BitVec, CodecError, Counter, MessageView, NodeId, ParamError, StepContext,
+    SyncProtocol,
 };
 
 use crate::boosted::BoostedCounter;
@@ -312,6 +312,15 @@ impl Counter for Algorithm {
         }
     }
 
+    fn deterministic_transition(&self) -> bool {
+        // Every counter of the §3–§4 constructions is deterministic: the
+        // trivial counter increments, LUT counters index tables, and the
+        // boosted transition is majority votes + phase-king instructions —
+        // none touches the `StepContext` entropy source (the
+        // `deterministic_protocols_replay_identically` tests enforce this).
+        true
+    }
+
     fn decode_state(
         &self,
         _node: NodeId,
@@ -320,17 +329,6 @@ impl Counter for Algorithm {
         let state = CounterState(input.read_wide(self.state_bits())?);
         self.validate(state)?;
         Ok(state)
-    }
-}
-
-impl Fingerprint for Algorithm {
-    fn deterministic_transition(&self) -> bool {
-        // Every counter of the §3–§4 constructions is deterministic: the
-        // trivial counter increments, LUT counters index tables, and the
-        // boosted transition is majority votes + phase-king instructions —
-        // none touches the `StepContext` entropy source (the
-        // `deterministic_protocols_replay_identically` tests enforce this).
-        true
     }
 }
 

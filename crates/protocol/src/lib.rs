@@ -63,6 +63,6 @@ pub use error::ParamError;
 pub use ids::{BlockId, NodeId};
 pub use math::{bits_for, checked_pow_u64, inc_mod, Interval};
 pub use plane::{ExecSpaces, FaceRef, Op, PlaneBuf, Program, RoundFaces, SlicedLayout, Space};
-pub use traits::{Counter, Fingerprint, PreparedProtocol, StepContext, SyncProtocol};
+pub use traits::{Counter, PreparedProtocol, StepContext, SyncProtocol};
 pub use view::{Broadcast, MessageSource, MessageView};
 pub use vote::{majority, majority_or, DeltaTally, Patched, Rescan, Tally, VoteCounts};

@@ -147,64 +147,35 @@ pub trait Counter: SyncProtocol {
     /// decided without executing it.
     ///
     /// A `true` is a proof obligation, not a heuristic: engines stop
-    /// executing on it (`sc-sim`'s `Batch`), so a counter answers `true`
+    /// executing on it (`sc-sim`'s run loop), so a counter answers `true`
     /// only where a lemma covers the configuration — Lemma 5 for the
     /// boosted counter. The default, `false`, is always sound.
     fn closed(&self, states: &[Self::State], honest: &[NodeId]) -> bool {
         let _ = (states, honest);
         false
     }
-}
 
-/// A counter whose executions can be **fingerprinted** for sound
-/// early-decision sweeps.
-///
-/// `run_until_stable`-style sweeps execute a full `bound + margin` horizon
-/// even though the execution typically stabilises two orders of magnitude
-/// earlier. When the protocol's transition is *deterministic* (and the
-/// adversary's strategy is too — see `sc-sim`'s `AdversarySnapshot`), the
-/// joint (states, adversary) configuration evolves on a finite graph: once
-/// a configuration recurs, the suffix is a proven cycle and the remaining
-/// rounds can be replayed algebraically instead of executed — the same
-/// closed-execution argument the exhaustive verifier exploits on small
-/// instances.
-///
-/// This trait provides the two ingredients an engine needs to do that
-/// soundly:
-///
-/// * [`Fingerprint::deterministic_transition`] — a **typed marker** that
-///   [`SyncProtocol::step`] is a pure function of the received view and
-///   consumes no randomness from its [`StepContext`]. Randomised protocols
-///   (and deterministic adapters over randomised plans, e.g. the pulling
-///   model's fresh-sampling mode) must return `false`, which disables the
-///   early exit — soundness is typed, not assumed.
-/// * [`Fingerprint::fingerprint_state`] — a bit-exact digest of one node's
-///   state, by default the counter's own codec: two states of the same node
-///   digest equally **iff** they are equal. Engines compare full encodings
-///   on every hash hit, so a configuration match is exact, never
-///   probabilistic.
-///
-/// # Contract
-///
-/// If `deterministic_transition` returns `true`, then for every node and
-/// every view, `step` must return the same state on every invocation and
-/// must leave the [`StepContext`] entropy source untouched. Violating this
-/// makes cycle-based early exits unsound; the `early_decision` test suites
-/// replay early verdicts against full-horizon verdicts bitwise to guard the
-/// implementations in this workspace.
-pub trait Fingerprint: Counter {
-    /// Whether [`SyncProtocol::step`] is deterministic (consumes no
-    /// randomness), making configuration recurrence a proof of periodicity.
-    fn deterministic_transition(&self) -> bool;
-
-    /// Appends a bit-exact digest of `node`'s `state` to `out`.
+    /// Whether [`SyncProtocol::step`] is **deterministic**: a pure function
+    /// of the received view that consumes no randomness from its
+    /// [`StepContext`].
     ///
-    /// The default digest is the counter codec ([`Counter::encode_state`]),
-    /// which round-trips by contract and is therefore injective on
-    /// representable states. Override only with another injective encoding
-    /// (e.g. to fingerprint auxiliary fields the codec deliberately omits).
-    fn fingerprint_state(&self, node: NodeId, state: &Self::State, out: &mut BitVec) {
-        self.encode_state(node, state, out);
+    /// When it is (and the adversary's strategy is too — see `sc-sim`'s
+    /// `AdversarySnapshot`), the joint (states, adversary) configuration
+    /// evolves on a finite graph: once a configuration recurs, the suffix
+    /// is a proven cycle and an engine may decide the rest of a horizon
+    /// without executing it — the closed-execution argument the exhaustive
+    /// verifier applies to small instances. Engines compare configurations
+    /// on the full [`Counter::encode_state`] encoding, which round-trips
+    /// by contract, so a match is exact, never probabilistic.
+    ///
+    /// A `true` is a proof obligation: `step` must return the same state
+    /// for the same node and view on every invocation and leave the
+    /// entropy source untouched. Randomised protocols (and deterministic
+    /// adapters over randomised plans, e.g. the pulling model's
+    /// fresh-sampling mode) keep the default, `false`, which disables the
+    /// cycle exit.
+    fn deterministic_transition(&self) -> bool {
+        false
     }
 }
 

@@ -31,8 +31,7 @@ use std::cell::Cell;
 
 use rand::RngCore;
 use sc_protocol::{
-    BitReader, BitVec, CodecError, Counter, Fingerprint, MessageView, NodeId, StepContext,
-    SyncProtocol,
+    BitReader, BitVec, CodecError, Counter, MessageView, NodeId, StepContext, SyncProtocol,
 };
 
 use crate::counter::PullCounter;
@@ -185,9 +184,7 @@ impl<'a> Counter for Pulled<'a, PullCounter> {
     ) -> Result<Self::State, CodecError> {
         self.protocol.decode_state(node, input)
     }
-}
 
-impl<'a> Fingerprint for Pulled<'a, PullCounter> {
     fn deterministic_transition(&self) -> bool {
         // A pulling round is deterministic exactly when every level's plan
         // is: full pulling, or the pseudo-random variant's fixed samples

@@ -20,8 +20,8 @@ pub enum SnapshotSupport {
 /// Write-side of [`Adversary::snapshot`]: a bit-exact sink for the
 /// adversary's round-relevant internal state.
 ///
-/// The engine backs the writer with the protocol's state digest
-/// ([`Fingerprint::fingerprint_state`](sc_protocol::Fingerprint)), so
+/// The engine backs the writer with the protocol's state codec
+/// ([`Counter::encode_state`](sc_protocol::Counter::encode_state)), so
 /// snapshots that contain protocol states (a replay ring, a sleeper's
 /// honestly simulated states) are encoded with the same injective codec as
 /// the configuration itself.
@@ -182,7 +182,8 @@ pub trait Adversary<S> {
     /// adds `rate × rounds skipped` to the fabrication ledger, so the
     /// ledger equals the full-horizon one. `None` (the default) means the
     /// count is not known in advance — it depends on the states, the round
-    /// or the random draws — and keeps such runs at their full horizon.
+    /// or the random draws — and keeps such runs from taking the closure
+    /// exit (a cycle exit may still stop them).
     fn fabrication_per_round(&self, n: usize) -> Option<u64> {
         let _ = n;
         None

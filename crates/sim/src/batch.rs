@@ -5,8 +5,9 @@
 //! experiment harness, the property tests, exhaustive small-instance work —
 //! runs not one execution but sweeps of `(seed, adversary, initial
 //! configuration)` scenarios. [`Batch`] is the engine for those sweeps: it
-//! drives every scenario through the zero-copy [`Simulation`] core with a
-//! streaming [`OnlineDetector`] (no trace is materialised), optionally
+//! drives every scenario through the zero-copy [`Simulation`] core's run
+//! loop — a streaming [`OnlineDetector`](crate::OnlineDetector), no trace
+//! materialised, stopping at the first closure or cycle exit — optionally
 //! fanning scenarios out across threads, and aggregates the verdicts.
 //!
 //! # Example
@@ -51,13 +52,13 @@
 //! assert!(report.summary().worst <= 1);
 //! ```
 
-use sc_protocol::{Counter, Fingerprint, PreparedProtocol};
+use sc_protocol::{Counter, PreparedProtocol};
 
 use crate::adversary::Adversary;
 use crate::early::ExitReason;
 use crate::obs::SimObs;
-use crate::simulation::{required_confirmation, Simulation};
-use crate::stabilization::{OnlineDetector, StabilizationReport};
+use crate::simulation::Simulation;
+use crate::stabilization::StabilizationReport;
 use crate::SimError;
 
 /// One execution to run: a seed plus an optional explicit initial
@@ -106,16 +107,16 @@ pub struct ScenarioOutcome {
     /// Stabilisation verdict of the execution.
     pub result: Result<StabilizationReport, SimError>,
     /// States the adversary materialised through the message plane's pool
-    /// over this execution (see [`Simulation::fabricated_states`]) — the
-    /// fabrication-cost ledger Byzantine sweeps are benchmarked on.
+    /// (see [`Simulation::fabricated_states`]) — the fabrication-cost
+    /// ledger Byzantine sweeps are benchmarked on. Each exit keeps its own
+    /// ledger semantics: a [closure exit](ExitReason::Closed) projects the
+    /// full-horizon count (the rounds it decided fabricate at the
+    /// adversary's known rate), a [cycle exit](ExitReason::Cycle) counts
+    /// the rounds it executed only.
     pub fabricated_states: u64,
     /// How the execution finished: full horizon, opted-out (RNG-driven),
     /// an early cycle exit, or a closure exit — the early-decision ledger
-    /// next to `fabricated_states`. The fixed-horizon entry points
-    /// ([`Batch::run`], [`Batch::run_prepared`]) report
-    /// [`ExitReason::Closed`] or [`ExitReason::FullHorizon`]; the early
-    /// ones ([`Batch::run_early`], [`Batch::run_prepared_early`]) never
-    /// report `Closed`.
+    /// next to `fabricated_states`.
     pub exit_reason: ExitReason,
 }
 
@@ -181,11 +182,17 @@ impl BatchReport {
         self.outcomes.iter().map(|o| o.fabricated_states).sum()
     }
 
-    /// Scenarios that took the early cycle exit.
+    /// Scenarios that stopped before the horizon, at a cycle or a closure
+    /// exit.
     pub fn early_exits(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| matches!(o.exit_reason, ExitReason::Cycle { .. }))
+            .filter(|o| {
+                matches!(
+                    o.exit_reason,
+                    ExitReason::Cycle { .. } | ExitReason::Closed { .. }
+                )
+            })
             .count()
     }
 
@@ -240,120 +247,52 @@ impl<'a, P: Counter> Batch<'a, P> {
         self
     }
 
-    /// The scenario's simulation: a fresh adversary from `factory`, started
-    /// from the scenario's initial configuration or a seeded random one.
-    fn simulation<A, F>(&self, scenario: &Scenario<P::State>, factory: &F) -> Simulation<'a, P, A>
-    where
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
-    {
-        let adversary = factory(scenario);
-        match &scenario.init {
-            Some(states) => {
-                Simulation::with_states(self.protocol, adversary, states.clone(), scenario.seed)
-            }
-            None => Simulation::new(self.protocol, adversary, scenario.seed),
-        }
-    }
-
-    /// Runs one scenario to completion, detecting stabilisation on the
-    /// fly; `step` selects the engine path (plain or prepared).
+    /// Runs every scenario through the simulation's run loop (that of
+    /// [`Simulation::run_until_stable_early`]) on the persistent
+    /// [`sc_exec`] pool, capped at [`Batch::threads`] executing threads,
+    /// and collects outcomes in input order; `step` selects the engine
+    /// path (plain or prepared).
     ///
-    /// Stops at the first round the closure exit's preconditions hold
-    /// ([`Simulation::closure_rate`]): the remaining rounds are recorded as
-    /// good transitions and their fabrications as `rate` per round, so the
-    /// outcome equals the full-horizon one but for its
-    /// [`ExitReason::Closed`].
-    fn run_one<A, F, S>(
+    /// Each scenario gets a fresh adversary from `factory` and starts from
+    /// its initial configuration or a seeded random one. Workers claim
+    /// scenarios dynamically, so uneven per-scenario cost — early exits
+    /// make adjacent seeds wildly different — load-balances automatically;
+    /// results land in per-index slots, so the report is bitwise identical
+    /// for every thread count.
+    fn schedule<A, F, S>(
         &self,
-        scenario: &Scenario<P::State>,
-        factory: &F,
+        scenarios: &[Scenario<P::State>],
+        factory: F,
         step: S,
-    ) -> ScenarioOutcome
+    ) -> BatchReport
     where
         A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
-        S: Fn(&mut Simulation<'a, P, A>),
-    {
-        let confirm = required_confirmation(self.protocol.modulus());
-        if self.horizon < confirm {
-            return ScenarioOutcome {
-                seed: scenario.seed,
-                result: Err(SimError::HorizonTooShort {
-                    horizon: self.horizon,
-                    required: confirm,
-                }),
-                fabricated_states: 0,
-                exit_reason: ExitReason::FullHorizon,
-            };
-        }
-        let mut sim = self.simulation(scenario, factory);
-        let mut detector = OnlineDetector::new(self.protocol.modulus());
-        detector.observe(sim.agreed_output_now());
-        let mut exit_reason = ExitReason::FullHorizon;
-        let mut unexecuted_fabrications = 0;
-        for round in 0..self.horizon {
-            if let Some(rate) = sim.closure_rate() {
-                // Closed: every remaining round counts, and the adversary
-                // fabricates `rate` states in each — record both unexecuted.
-                let rest = self.horizon - round;
-                detector.extend_counting(rest);
-                unexecuted_fabrications = rate * rest;
-                exit_reason = ExitReason::Closed { decided_at: round };
-                break;
-            }
-            step(&mut sim);
-            detector.observe(sim.agreed_output_now());
-        }
-        ScenarioOutcome {
-            seed: scenario.seed,
-            result: detector.finish(confirm),
-            fabricated_states: sim.fabricated_states() + unexecuted_fabrications,
-            exit_reason,
-        }
-    }
-
-    /// Runs one scenario in the early-decision mode: identical verdict, but
-    /// the execution stops as soon as the configuration provably cycles.
-    fn run_one_early<A, F, S>(
-        &self,
-        scenario: &Scenario<P::State>,
-        factory: &F,
-        step: S,
-    ) -> ScenarioOutcome
-    where
-        P: Fingerprint,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A,
-        S: Fn(&mut Simulation<'a, P, A>),
-    {
-        let mut sim = self.simulation(scenario, factory);
-        let (result, exit_reason) = sim.run_early_with(self.horizon, step);
-        ScenarioOutcome {
-            seed: scenario.seed,
-            result,
-            fabricated_states: sim.fabricated_states(),
-            exit_reason,
-        }
-    }
-
-    /// Schedules `runner` over every scenario on the persistent
-    /// [`sc_exec`] pool (capped at [`Batch::threads`] executing threads)
-    /// and collects outcomes in input order.
-    ///
-    /// Workers claim scenarios dynamically, so uneven per-scenario cost —
-    /// early-decision exits make adjacent seeds wildly different — load-
-    /// balances automatically; results land in per-index slots, so the
-    /// report is bitwise identical for every thread count.
-    fn schedule<R>(&self, scenarios: &[Scenario<P::State>], runner: R) -> BatchReport
-    where
-        R: Fn(&Scenario<P::State>) -> ScenarioOutcome + Sync,
+        F: Fn(&Scenario<P::State>) -> A + Sync,
+        S: Fn(&mut Simulation<'a, P, A>) + Sync,
+        P: Sync,
         P::State: Sync,
     {
         let obs = self.obs;
         BatchReport {
             outcomes: sc_exec::map(scenarios.len(), self.threads, |i| {
-                let outcome = runner(&scenarios[i]);
+                let scenario = &scenarios[i];
+                let adversary = factory(scenario);
+                let mut sim = match &scenario.init {
+                    Some(states) => Simulation::with_states(
+                        self.protocol,
+                        adversary,
+                        states.clone(),
+                        scenario.seed,
+                    ),
+                    None => Simulation::new(self.protocol, adversary, scenario.seed),
+                };
+                let (result, exit_reason) = sim.run_with(self.horizon, &step);
+                let outcome = ScenarioOutcome {
+                    seed: scenario.seed,
+                    result,
+                    fabricated_states: sim.fabricated_states(),
+                    exit_reason,
+                };
                 if let Some(obs) = obs {
                     obs.scenario_done(&outcome);
                 }
@@ -369,12 +308,13 @@ impl<'a, P: Counter> Batch<'a, P> {
     /// adversaries are created inside their worker, so only the factory
     /// itself must be `Sync`.
     ///
-    /// A scenario stops executing at the first round its correct nodes are
-    /// [closed](Counter::closed) under an adversary whose
-    /// [fabrication rate](Adversary::fabrication_per_round) is known — the
-    /// **closure exit**, [`ExitReason::Closed`]. The rest of the horizon is
-    /// recorded, not executed: the verdict and the fabrication ledger are
-    /// bitwise the full-horizon ones.
+    /// Each scenario runs the loop of
+    /// [`Simulation::run_until_stable_early`] and stops at its first sound
+    /// exit: Lemma 5's closure ([`ExitReason::Closed`]) or a recurrence of
+    /// the joint configuration ([`ExitReason::Cycle`]). Verdicts are
+    /// bitwise the full-horizon ones;
+    /// [`exit_reason`](ScenarioOutcome::exit_reason) records whether and
+    /// where an exit fired.
     pub fn run<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
         A: Adversary<P::State>,
@@ -382,12 +322,12 @@ impl<'a, P: Counter> Batch<'a, P> {
         P: Sync,
         P::State: Send + Sync,
     {
-        self.schedule(scenarios, |s| self.run_one(s, &factory, Simulation::step))
+        self.schedule(scenarios, factory, Simulation::step)
     }
 
     /// [`run`](Batch::run) on the protocol's [`PreparedProtocol`] fast path:
     /// per round, the receiver-independent vote tallies are hoisted out and
-    /// each receiver patches only the Byzantine overrides. Verdicts are
+    /// each receiver patches only the Byzantine overrides. Outcomes are
     /// bitwise identical to [`run`](Batch::run).
     pub fn run_prepared<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
     where
@@ -397,49 +337,7 @@ impl<'a, P: Counter> Batch<'a, P> {
         P: Sync,
         P::State: Send + Sync,
     {
-        self.schedule(scenarios, |s| {
-            self.run_one(s, &factory, Simulation::step_prepared)
-        })
-    }
-
-    /// [`run`](Batch::run) in the **early-decision mode**: verdicts are
-    /// bitwise identical, but scenarios whose joint (states, adversary)
-    /// configuration provably cycles stop executing at the recurrence and
-    /// replay the rest of the horizon algebraically (see
-    /// [`Simulation::run_until_stable_early`]). Each outcome's
-    /// [`exit_reason`](ScenarioOutcome::exit_reason) records whether and
-    /// where the exit fired; RNG-driven adversaries run the full horizon
-    /// and report [`ExitReason::Opaque`].
-    pub fn run_early<A, F>(&self, scenarios: &[Scenario<P::State>], factory: F) -> BatchReport
-    where
-        P: Fingerprint,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A + Sync,
-        P: Sync,
-        P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| {
-            self.run_one_early(s, &factory, Simulation::step)
-        })
-    }
-
-    /// [`run_early`](Batch::run_early) on the [`PreparedProtocol`] fast
-    /// path.
-    pub fn run_prepared_early<A, F>(
-        &self,
-        scenarios: &[Scenario<P::State>],
-        factory: F,
-    ) -> BatchReport
-    where
-        P: Fingerprint + PreparedProtocol,
-        A: Adversary<P::State>,
-        F: Fn(&Scenario<P::State>) -> A + Sync,
-        P: Sync,
-        P::State: Send + Sync,
-    {
-        self.schedule(scenarios, |s| {
-            self.run_one_early(s, &factory, Simulation::step_prepared)
-        })
+        self.schedule(scenarios, factory, Simulation::step_prepared)
     }
 }
 

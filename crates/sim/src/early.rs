@@ -1,7 +1,7 @@
 //! Sound early-decision machinery: cycle/fixpoint detection on the joint
 //! (states, adversary) configuration, plus the algebraic verdict replay.
 //!
-//! With a deterministic protocol ([`Fingerprint::deterministic_transition`])
+//! With a deterministic protocol ([`Counter::deterministic_transition`])
 //! and a snapshot-capable adversary
 //! ([`Adversary::snapshot`](crate::Adversary::snapshot)), one round of the
 //! engine is a pure function on a finite configuration space. An execution
@@ -22,7 +22,13 @@
 //! recurrence is verified word-for-word, so the verdict is sound under hash
 //! collisions; a collision can only *delay* detection.
 //!
-//! [`Fingerprint::deterministic_transition`]: sc_protocol::Fingerprint::deterministic_transition
+//! The simulation's one run loop
+//! ([`Simulation::run_until_stable_early`](crate::Simulation::run_until_stable_early),
+//! behind both `Batch` drivers too) checks the closure exit before each
+//! round and feeds this detector after it, so whichever sound exit comes
+//! first decides the run.
+//!
+//! [`Counter::deterministic_transition`]: sc_protocol::Counter::deterministic_transition
 
 use std::collections::HashMap;
 
@@ -31,9 +37,10 @@ use sc_protocol::BitVec;
 use crate::stabilization::{good_transition, StabilizationReport};
 use crate::SimError;
 
-/// How a `run_until_stable`-style sweep finished executing rounds.
+/// How a run of the simulation's run loop finished executing rounds.
 ///
-/// [`Batch`](crate::Batch) records one per scenario
+/// [`Simulation::run_until_stable_early`](crate::Simulation::run_until_stable_early)
+/// returns one, and [`Batch`](crate::Batch) records one per scenario
 /// ([`ScenarioOutcome::exit_reason`](crate::ScenarioOutcome)) — the ledger
 /// early-decision sweeps are benchmarked on, next to `fabricated_states`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -42,8 +49,8 @@ pub enum ExitReason {
     /// the horizon, or the run was rejected before it started).
     FullHorizon,
     /// The protocol's transition or the adversary's strategy is RNG-driven
-    /// (opted out of fingerprinting), so the engine never armed the cycle
-    /// detector and executed the full horizon.
+    /// (opted out of fingerprinting), so the cycle detector was disarmed,
+    /// and the run never closed: every horizon round was executed.
     Opaque,
     /// The configuration after round `decided_at` matched the configuration
     /// after round `start` bit-exactly: rounds `start..decided_at` are a

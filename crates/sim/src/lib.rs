@@ -16,6 +16,13 @@
 //! * [`Batch`] — sweeps of many `(seed, adversary, initial-configuration)`
 //!   [`Scenario`]s through one protocol, with streaming stabilisation
 //!   detection ([`OnlineDetector`]) and optional thread fan-out.
+//! * [`ExitReason`] — why a run stopped. [`Batch::run`],
+//!   [`Batch::run_prepared`] and [`Simulation::run_until_stable_early`]
+//!   share one run loop that stops at the first sound exit — Lemma 5's
+//!   closure ([`Counter::closed`](sc_protocol::Counter::closed)) or a
+//!   bit-exact recurrence of the joint (states, adversary) configuration —
+//!   with verdicts bitwise equal to the full-horizon oracle
+//!   [`Simulation::run_until_stable`].
 //! * [`Adversary`] — the interface Byzantine strategies implement, built on
 //!   the **borrow-based message plane**: strategies return [`MessageSource`]
 //!   leases (echo a broadcast state, or name a slot of the engine's
@@ -103,7 +110,3 @@ pub use workspace::{FaultMask, RoundWorkspace, StatePool};
 // The lease type of the borrowed message plane lives in `sc-protocol` (the
 // view resolves it); re-exported here because adversaries mint the tokens.
 pub use sc_protocol::MessageSource;
-
-// The early-decision marker trait lives in `sc-protocol` next to the codec
-// it defaults to; re-exported here because the engine consumes it.
-pub use sc_protocol::Fingerprint;

@@ -5,8 +5,7 @@ use std::any::Any;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_protocol::{
-    BitVec, Broadcast, Counter, Fingerprint, MessageView, NodeId, PreparedProtocol, StepContext,
-    SyncProtocol,
+    BitVec, Broadcast, Counter, MessageView, NodeId, PreparedProtocol, StepContext, SyncProtocol,
 };
 
 use crate::adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport};
@@ -47,11 +46,16 @@ use crate::SimError;
 /// each other: the [`PreparedProtocol`] fast path and the batched sweeps
 /// must reproduce plain single-stepped executions bitwise.
 ///
-/// For [`Fingerprint`] protocols under snapshot-capable adversaries,
-/// [`run_until_stable_early`](Simulation::run_until_stable_early) adds the
-/// sound early-decision mode: once the joint (states, adversary)
-/// configuration recurs bit-exactly, the remaining horizon is replayed
-/// algebraically instead of executed.
+/// # Drivers
+///
+/// [`run_until_stable_early`](Simulation::run_until_stable_early),
+/// [`Batch::run`](crate::Batch::run) and
+/// [`Batch::run_prepared`](crate::Batch::run_prepared) share one run loop
+/// that stops at the first sound exit: Lemma 5's closure
+/// ([`ExitReason::Closed`]) or a bit-exact recurrence of the joint
+/// (states, adversary) configuration ([`ExitReason::Cycle`]). Their
+/// verdicts equal those of [`run_until_stable`](Simulation::run_until_stable),
+/// the trace-based full-horizon oracle.
 ///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Simulation<'a, P: SyncProtocol, A> {
@@ -73,6 +77,9 @@ pub struct Simulation<'a, P: SyncProtocol, A> {
     prep: Option<Box<dyn Any>>,
     round: u64,
     rng: SmallRng,
+    /// Fabrications a closure exit recorded for the rounds it decided
+    /// without executing them (see [`Simulation::fabricated_states`]).
+    projected_fabrications: u64,
 }
 
 impl<'a, P, A> Simulation<'a, P, A>
@@ -142,6 +149,7 @@ where
             prep: None,
             round: 0,
             rng: SmallRng::seed_from_u64(seed),
+            projected_fabrications: 0,
         }
     }
 
@@ -191,6 +199,16 @@ where
 
     /// Executes one synchronous round on the zero-copy engine.
     pub fn step(&mut self) {
+        self.round_with(|protocol, node, view, ctx| protocol.step(node, view, ctx));
+    }
+
+    /// The round body both engine paths share: the adversary's round
+    /// hook, one lease per (faulty sender, correct receiver) pair, the
+    /// receiver's view, `transition` into the back buffer, and the swap.
+    fn round_with<F>(&mut self, mut transition: F)
+    where
+        F: FnMut(&P, NodeId, &MessageView<'_, P::State>, &mut StepContext<'_>) -> P::State,
+    {
         let ctx = RoundContext {
             round: self.round,
             honest: &self.states,
@@ -221,7 +239,7 @@ where
                 &self.workspace.sources,
             );
             let mut step_ctx = StepContext::new(&mut self.rng);
-            self.back[i] = self.protocol.step(receiver, &view, &mut step_ctx);
+            self.back[i] = transition(self.protocol, receiver, &view, &mut step_ctx);
         }
         std::mem::swap(&mut self.states, &mut self.back);
         self.round += 1;
@@ -229,9 +247,12 @@ where
 
     /// Cumulative number of states the adversary has materialised through
     /// the message plane's pool — the fabrication-cost ledger of Byzantine
-    /// sweeps (echoed broadcasts and pinned states do not count).
+    /// sweeps (echoed broadcasts and pinned states do not count). After a
+    /// closure exit ([`ExitReason::Closed`]) it also counts the
+    /// `rate × rounds` fabrications of the rounds the exit decided, so the
+    /// ledger is the full-horizon one.
     pub fn fabricated_states(&self) -> u64 {
-        self.workspace.pool.fabricated_total()
+        self.workspace.pool.fabricated_total() + self.projected_fabrications
     }
 
     /// Executes `rounds` rounds.
@@ -251,53 +272,20 @@ where
     where
         P: PreparedProtocol,
     {
-        let ctx = RoundContext {
-            round: self.round,
-            honest: &self.states,
-            faulty: &self.faulty,
-            mask: &self.mask,
-        };
-        self.workspace.pool.begin_round();
-        self.adversary.begin_round(&ctx, &mut self.workspace.pool);
-
         let base = Broadcast::States(&self.states);
-        match self.prep.as_mut().map(|prep| prep.downcast_mut()) {
-            Some(prep) => {
-                let prep = prep.expect("one protocol per simulation");
-                self.protocol.refill_round(prep, base, &self.faulty);
+        let mut prep = match self.prep.take() {
+            Some(mut prep) => {
+                let round_prep = prep.downcast_mut().expect("one protocol per simulation");
+                self.protocol.refill_round(round_prep, base, &self.faulty);
+                prep
             }
-            None => self.prep = Some(Box::new(self.protocol.prepare_round(base, &self.faulty))),
-        }
-        let prep: &mut P::RoundPrep = self
-            .prep
-            .as_mut()
-            .and_then(|prep| prep.downcast_mut())
-            .expect("prepared above, as this type");
-        for i in 0..self.states.len() {
-            if self.mask.contains(i) {
-                continue;
-            }
-            let receiver = NodeId::new(i);
-            self.workspace.sources.clear();
-            for &from in &self.faulty {
-                let source = self
-                    .adversary
-                    .message(from, receiver, &ctx, &mut self.workspace.pool);
-                self.workspace.sources.push((from, source));
-            }
-            let view = MessageView::from_sources(
-                &self.states,
-                self.workspace.pool.pinned(),
-                self.workspace.pool.round(),
-                &self.workspace.sources,
-            );
-            let mut step_ctx = StepContext::new(&mut self.rng);
-            self.back[i] = self
-                .protocol
-                .step_prepared(receiver, &view, prep, &mut step_ctx);
-        }
-        std::mem::swap(&mut self.states, &mut self.back);
-        self.round += 1;
+            None => Box::new(self.protocol.prepare_round(base, &self.faulty)),
+        };
+        let round_prep: &mut P::RoundPrep = prep.downcast_mut().expect("prepared as this type");
+        self.round_with(|protocol, node, view, ctx| {
+            protocol.step_prepared(node, view, round_prep, ctx)
+        });
+        self.prep = Some(prep);
     }
 
     /// Executes `rounds` rounds, recording the correct nodes' outputs before
@@ -362,6 +350,10 @@ where
     /// silently shrinking the requirement would let a 1-transition tail pass
     /// as "stable".
     ///
+    /// This is the **oracle** the exit-taking drivers are tested against:
+    /// it executes every round, records the output trace and detects
+    /// stabilisation offline, with no exit of any kind.
+    ///
     /// # Errors
     ///
     /// * [`SimError::HorizonTooShort`] when `horizon` cannot fit the
@@ -381,35 +373,27 @@ where
         detect_stabilization(&trace, modulus, confirm)
     }
 
-    /// The two preconditions of the closure exit, checked now: the correct
-    /// nodes are closed ([`Counter::closed`]) and the adversary's
-    /// fabrication rate is known ([`Adversary::fabrication_per_round`]).
-    /// Returns that rate when both hold.
-    pub(crate) fn closure_rate(&self) -> Option<u64> {
-        let rate = self.adversary.fabrication_per_round(self.states.len())?;
-        self.protocol
-            .closed(&self.states, &self.honest)
-            .then_some(rate)
-    }
-}
-
-impl<'a, P, A> Simulation<'a, P, A>
-where
-    P: Fingerprint,
-    A: Adversary<P::State>,
-{
-    /// [`run_until_stable`](Simulation::run_until_stable) with the sound
-    /// **early-decision mode**: the verdict is bitwise identical, but when
-    /// the joint (states, adversary) configuration recurs within the
-    /// horizon, the remaining rounds are replayed algebraically instead of
-    /// executed — the structural win behind fast `T(f) ≪ bound` sweeps.
+    /// [`run_until_stable`](Simulation::run_until_stable) with every sound
+    /// **early exit**: the verdict is bitwise identical, but the run stops
+    /// executing as soon as the rest of the horizon is decided, and the
+    /// [`ExitReason`] says why.
     ///
-    /// Soundness is typed, not assumed: the cycle detector only arms when
-    /// [`Fingerprint::deterministic_transition`] holds *and* the adversary's
-    /// [`snapshot`](Adversary::snapshot) capability reports
-    /// [`SnapshotSupport::Deterministic`]; RNG-driven strategies execute the
-    /// full horizon and report [`ExitReason::Opaque`]. Every reported
-    /// recurrence is verified on the full codec encoding, never on a hash.
+    /// * **Closure** ([`ExitReason::Closed`]): the correct nodes are
+    ///   [closed](Counter::closed) — Lemma 5 for the boosted counter — under
+    ///   an adversary whose [fabrication
+    ///   rate](Adversary::fabrication_per_round) is known. The remaining
+    ///   rounds are recorded as counting, and their fabrications join
+    ///   [`fabricated_states`](Simulation::fabricated_states).
+    /// * **Recurrence** ([`ExitReason::Cycle`]): the joint (states,
+    ///   adversary) configuration recurs bit-exactly, so the remaining
+    ///   rounds are replayed algebraically. Soundness is typed, not
+    ///   assumed: the cycle detector only arms when
+    ///   [`Counter::deterministic_transition`] holds *and* the adversary's
+    ///   [`snapshot`](Adversary::snapshot) reports
+    ///   [`SnapshotSupport::Deterministic`]; otherwise the run reports
+    ///   [`ExitReason::Opaque`] unless it closes. Every recurrence is
+    ///   verified on the full codec encoding, never on a hash. The ledger
+    ///   counts the executed rounds only.
     ///
     /// # Errors
     ///
@@ -420,25 +404,13 @@ where
         &mut self,
         horizon: u64,
     ) -> (Result<StabilizationReport, SimError>, ExitReason) {
-        self.run_early_with(horizon, Self::step)
+        self.run_with(horizon, Self::step)
     }
 
-    /// [`run_until_stable_early`](Simulation::run_until_stable_early) on the
-    /// [`PreparedProtocol`] fast path.
-    pub fn run_until_stable_early_prepared(
-        &mut self,
-        horizon: u64,
-    ) -> (Result<StabilizationReport, SimError>, ExitReason)
-    where
-        P: PreparedProtocol,
-    {
-        self.run_early_with(horizon, Self::step_prepared)
-    }
-
-    /// The early-decision driver: streams agreed outputs while feeding the
-    /// configuration fingerprint of every round to a [`CycleDetector`];
-    /// `step` selects the engine path.
-    pub(crate) fn run_early_with<S: Fn(&mut Self)>(
+    /// The one scalar run loop behind every exit-taking driver; `step`
+    /// selects the engine path. Each round checks the closure exit, steps,
+    /// then feeds the cycle detector while it is armed.
+    pub(crate) fn run_with<S: Fn(&mut Self)>(
         &mut self,
         horizon: u64,
         step: S,
@@ -454,69 +426,87 @@ where
                 ExitReason::FullHorizon,
             );
         }
-        // Capped reservation: an early exit typically pushes far fewer than
-        // `horizon + 1` rows, and a soak horizon must not pre-allocate its
-        // own defeat (the buffer grows organically past the cap).
-        let mut outputs: Vec<Option<u64>> = Vec::with_capacity(horizon.min(4095) as usize + 1);
-        outputs.push(self.agreed_output_now());
-        let mut detector = self
+        let mut online = OnlineDetector::new(modulus);
+        let first = self.agreed_output_now();
+        online.observe(first);
+        // While armed, the detector keeps every agreed output row for the
+        // cycle exit's verdict replay. The initial configuration can recur
+        // too (round 0 is a valid cycle entry), so it is recorded first.
+        let mut armed = self
             .protocol
             .deterministic_transition()
-            .then(CycleDetector::new);
-        if let Some(det) = detector.as_mut() {
-            // The initial configuration can recur too (round 0 is a valid
-            // cycle entry), so it is recorded before the first step.
-            if matches!(self.record_config(det), Feed::Opaque) {
-                detector = None;
+            .then(|| (CycleDetector::new(), vec![first]));
+        if let Some((detector, _)) = armed.as_mut() {
+            if matches!(self.record_config(detector), Feed::Opaque) {
+                armed = None;
             }
         }
-        for round in 1..=horizon {
+        for round in 0..horizon {
+            if let Some(rate) = self.closure_rate() {
+                let rest = horizon - round;
+                online.extend_counting(rest);
+                self.projected_fabrications += rate * rest;
+                return (
+                    online.finish(confirm),
+                    ExitReason::Closed { decided_at: round },
+                );
+            }
             step(self);
-            outputs.push(self.agreed_output_now());
-            if let Some(det) = detector.as_mut() {
-                match self.record_config(det) {
+            let row = self.agreed_output_now();
+            online.observe(row);
+            if let Some((detector, rows)) = armed.as_mut() {
+                rows.push(row);
+                match self.record_config(detector) {
                     Feed::Recorded => {}
-                    Feed::Opaque => detector = None,
+                    Feed::Opaque => armed = None,
                     Feed::Cycle(start) => {
-                        let verdict = periodic_verdict(&outputs, start, horizon, modulus, confirm);
+                        let verdict = periodic_verdict(rows, start, horizon, modulus, confirm);
+                        let decided_at = round + 1;
+                        let length = decided_at - start;
                         return (
                             verdict,
                             ExitReason::Cycle {
                                 start,
-                                length: round - start,
-                                decided_at: round,
+                                length,
+                                decided_at,
                             },
                         );
                     }
                 }
             }
         }
-        let mut online = OnlineDetector::new(modulus);
-        for &row in &outputs {
-            online.observe(row);
-        }
-        let exit = if detector.is_some() {
-            ExitReason::FullHorizon
-        } else {
-            ExitReason::Opaque
+        let exit = match armed {
+            Some(_) => ExitReason::FullHorizon,
+            None => ExitReason::Opaque,
         };
         (online.finish(confirm), exit)
     }
 
+    /// The two preconditions of the closure exit, checked now: the correct
+    /// nodes are closed ([`Counter::closed`]) and the adversary's
+    /// fabrication rate is known ([`Adversary::fabrication_per_round`]).
+    /// Returns that rate when both hold.
+    fn closure_rate(&self) -> Option<u64> {
+        let rate = self.adversary.fabrication_per_round(self.states.len())?;
+        self.protocol
+            .closed(&self.states, &self.honest)
+            .then_some(rate)
+    }
+
     /// Encodes the current joint configuration — the correct nodes' states
-    /// through the protocol's bit-exact digest and the adversary snapshot —
-    /// and feeds it to the detector. How many states are pinned is not part
-    /// of it: a pinned lease always resolves to the same state, so pinning
-    /// on first use changes no decision.
+    /// through the protocol's codec and the adversary snapshot — and feeds
+    /// it to the detector. How many states are pinned is not part of it: a
+    /// pinned lease always resolves to the same state, so pinning on first
+    /// use changes no decision.
     fn record_config(&self, detector: &mut CycleDetector) -> Feed {
         let mut bits = detector.begin();
         for &id in &self.honest {
             self.protocol
-                .fingerprint_state(id, &self.states[id.index()], &mut bits);
+                .encode_state(id, &self.states[id.index()], &mut bits);
         }
         let support = {
             let mut encode = |node: NodeId, state: &P::State, out: &mut BitVec| {
-                self.protocol.fingerprint_state(node, state, out);
+                self.protocol.encode_state(node, state, out);
             };
             let mut writer = AdversarySnapshot::new(&mut bits, &mut encode);
             self.adversary.snapshot(self.round, &mut writer)

@@ -3,8 +3,8 @@
 
 use rand::RngCore;
 use sc_protocol::{
-    bits_for, BitReader, BitVec, CodecError, Counter, Fingerprint, MessageView, NodeId,
-    StepContext, SyncProtocol,
+    bits_for, BitReader, BitVec, Broadcast, CodecError, Counter, MessageView, NodeId,
+    PreparedProtocol, StepContext, SyncProtocol,
 };
 
 use crate::adversary::RoundContext;
@@ -111,11 +111,120 @@ impl Counter for FollowMax {
     fn decode_state(&self, _: NodeId, input: &mut BitReader<'_>) -> Result<u64, CodecError> {
         input.read_bits(self.state_bits())
     }
-}
 
-impl Fingerprint for FollowMax {
     fn deterministic_transition(&self) -> bool {
         // `step` is max+1 over the view: pure, no randomness consumed.
         true
+    }
+}
+
+/// Nothing to hoist: the prepared path is the plain step, so the suites
+/// can drive both `Batch` paths on the fixture.
+impl PreparedProtocol for FollowMax {
+    type RoundPrep = ();
+
+    fn prepare_round(&self, _: Broadcast<'_, u64>, _: &[NodeId]) {}
+
+    fn step_prepared(
+        &self,
+        node: NodeId,
+        view: &MessageView<'_, u64>,
+        _: &mut (),
+        ctx: &mut StepContext<'_>,
+    ) -> u64 {
+        self.step(node, view, ctx)
+    }
+}
+
+/// A counter that is never [closed](Counter::closed): it delegates
+/// everything else to the wrapped protocol, so its runs are the wrapped
+/// protocol's with the closure exit disabled — the way suites reach the
+/// cycle exit (or a full horizon) on counters that close first.
+#[derive(Clone, Copy, Debug)]
+pub struct NeverClosed<'a, P>(pub &'a P);
+
+impl<P: SyncProtocol> SyncProtocol for NeverClosed<'_, P> {
+    type State = P::State;
+
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+
+    fn step(
+        &self,
+        node: NodeId,
+        view: &MessageView<'_, P::State>,
+        ctx: &mut StepContext<'_>,
+    ) -> P::State {
+        self.0.step(node, view, ctx)
+    }
+
+    fn output(&self, node: NodeId, state: &P::State) -> u64 {
+        self.0.output(node, state)
+    }
+
+    fn random_state(&self, node: NodeId, rng: &mut dyn RngCore) -> P::State {
+        self.0.random_state(node, rng)
+    }
+}
+
+impl<P: Counter> Counter for NeverClosed<'_, P> {
+    fn modulus(&self) -> u64 {
+        self.0.modulus()
+    }
+
+    fn resilience(&self) -> usize {
+        self.0.resilience()
+    }
+
+    fn state_bits(&self) -> u32 {
+        self.0.state_bits()
+    }
+
+    fn stabilization_bound(&self) -> u64 {
+        self.0.stabilization_bound()
+    }
+
+    fn encode_state(&self, node: NodeId, state: &P::State, out: &mut BitVec) {
+        self.0.encode_state(node, state, out);
+    }
+
+    fn decode_state(
+        &self,
+        node: NodeId,
+        input: &mut BitReader<'_>,
+    ) -> Result<P::State, CodecError> {
+        self.0.decode_state(node, input)
+    }
+
+    fn deterministic_transition(&self) -> bool {
+        self.0.deterministic_transition()
+    }
+}
+
+impl<P: PreparedProtocol> PreparedProtocol for NeverClosed<'_, P> {
+    type RoundPrep = P::RoundPrep;
+
+    fn prepare_round(&self, base: Broadcast<'_, P::State>, faulty: &[NodeId]) -> P::RoundPrep {
+        self.0.prepare_round(base, faulty)
+    }
+
+    fn refill_round(
+        &self,
+        prep: &mut P::RoundPrep,
+        base: Broadcast<'_, P::State>,
+        faulty: &[NodeId],
+    ) {
+        self.0.refill_round(prep, base, faulty);
+    }
+
+    fn step_prepared(
+        &self,
+        node: NodeId,
+        view: &MessageView<'_, P::State>,
+        prep: &mut P::RoundPrep,
+        ctx: &mut StepContext<'_>,
+    ) -> P::State {
+        self.0.step_prepared(node, view, prep, ctx)
     }
 }

@@ -27,11 +27,11 @@ proptest! {
         let seeds = (base_seed as u64)..(base_seed as u64 + scenarios as u64);
         let scenarios = Scenario::seeds(seeds);
         let factory = |s: &Scenario<u64>| adversaries::crash(&p, [faulty], s.seed);
-        let one = Batch::new(&p, 600).threads(1).run_early(&scenarios, factory);
+        let one = Batch::new(&p, 600).threads(1).run(&scenarios, factory);
         for threads in [2, 7] {
             let many = Batch::new(&p, 600)
                 .threads(threads)
-                .run_early(&scenarios, factory);
+                .run(&scenarios, factory);
             prop_assert_eq!(&one.outcomes, &many.outcomes, "cap {}", threads);
         }
     }

@@ -1,13 +1,20 @@
 //! Early-decision soundness on the real constructions: verdicts of the
-//! cycle-detecting sweep mode must be **bitwise identical** to full-horizon
+//! exit-taking run loop must be **bitwise identical** to full-horizon
 //! verdicts on the recursion stack and on the pulling counter, the cycle
 //! path must actually fire where the configuration is provably periodic,
-//! and RNG-driven plans/strategies must never take the exit.
+//! and RNG-driven plans/strategies must never take the cycle exit.
+//!
+//! The boosted counters close (Lemma 5) before their configurations recur,
+//! so the cycle-path cases run them through [`NeverClosed`], which disables
+//! the closure exit and nothing else.
 
-use synchronous_counting::core::{Algorithm, CounterBuilder};
-use synchronous_counting::protocol::Fingerprint;
+use synchronous_counting::core::{Algorithm, CounterBuilder, CounterState};
+use synchronous_counting::protocol::{Counter, PreparedProtocol};
 use synchronous_counting::pulling::{KingPullMode, PullCounter, Pulled, Sampling};
-use synchronous_counting::sim::{adversaries, sleeper, Adversary, ExitReason, Simulation};
+use synchronous_counting::sim::testing::NeverClosed;
+use synchronous_counting::sim::{
+    adversaries, sleeper, Adversary, Batch, ExitReason, Scenario, Simulation,
+};
 
 fn a4() -> Algorithm {
     CounterBuilder::corollary1(1, 2).unwrap().build().unwrap()
@@ -24,31 +31,43 @@ fn a36() -> Algorithm {
         .unwrap()
 }
 
-fn assert_early_matches_full<A, F>(
-    algo: &Algorithm,
+/// The oracle (`run_until_stable`), the plain run loop
+/// (`run_until_stable_early`) and the prepared one (`Batch::run_prepared`)
+/// on one seeded scenario: equal verdicts, equal exits and ledgers between
+/// the two loop paths. Returns the exit.
+fn assert_early_matches_full<P, A, F>(
+    p: &P,
     make_adversary: F,
     horizon: u64,
     seed: u64,
     label: &str,
 ) -> ExitReason
 where
-    A: Adversary<synchronous_counting::core::CounterState>,
-    F: Fn() -> A,
+    P: Counter<State = CounterState> + PreparedProtocol + Sync,
+    A: Adversary<CounterState>,
+    F: Fn() -> A + Sync,
 {
-    let mut full = Simulation::new(algo, make_adversary(), seed);
+    let mut full = Simulation::new(p, make_adversary(), seed);
     let expect = full.run_until_stable(horizon);
-    let mut early = Simulation::new(algo, make_adversary(), seed);
+    let mut early = Simulation::new(p, make_adversary(), seed);
     let (got, exit) = early.run_until_stable_early(horizon);
     assert_eq!(got, expect, "{label}: verdict divergence (seed {seed})");
-    let mut prepared = Simulation::new(algo, make_adversary(), seed);
-    let (got, prepared_exit) = prepared.run_until_stable_early_prepared(horizon);
+    let prepared = Batch::new(p, horizon)
+        .threads(1)
+        .run_prepared(&[Scenario::seeded(seed)], |_| make_adversary());
+    let outcome = &prepared.outcomes[0];
     assert_eq!(
-        got, expect,
+        outcome.result, expect,
         "{label}: prepared-path verdict divergence (seed {seed})"
     );
     assert_eq!(
-        exit, prepared_exit,
+        outcome.exit_reason, exit,
         "{label}: exit divergence (seed {seed})"
+    );
+    assert_eq!(
+        outcome.fabricated_states,
+        early.fabricated_states(),
+        "{label}: ledger divergence (seed {seed})"
     );
     exit
 }
@@ -60,19 +79,20 @@ where
 #[test]
 fn a4_cycle_exit_fires_and_matches_full_horizon_bitwise() {
     let algo = a4();
+    let p = NeverClosed(&algo);
     let period = 2304;
     let horizon = 4 * period;
     for (label, seed, exit) in [
         (
             "fault-free",
             1u64,
-            assert_early_matches_full(&algo, adversaries::none, horizon, 1, "fault-free"),
+            assert_early_matches_full(&p, adversaries::none, horizon, 1, "fault-free"),
         ),
         (
             "crash",
             2,
             assert_early_matches_full(
-                &algo,
+                &p,
                 || adversaries::crash(&algo, [1], 2),
                 horizon,
                 2,
@@ -82,7 +102,7 @@ fn a4_cycle_exit_fires_and_matches_full_horizon_bitwise() {
         (
             "replay",
             3,
-            assert_early_matches_full(&algo, || adversaries::replay([2], 3), horizon, 3, "replay"),
+            assert_early_matches_full(&p, || adversaries::replay([2], 3), horizon, 3, "replay"),
         ),
     ] {
         match exit {
@@ -123,26 +143,22 @@ fn a4_sleeper_cycles_only_after_waking() {
 #[test]
 fn a36_verdicts_match_across_the_adversary_suite() {
     let algo = a36();
+    let p = NeverClosed(&algo);
     let faulty = [0usize, 1, 2, 3, 4, 12, 24];
     let horizon = 640;
     let exit = assert_early_matches_full(
-        &algo,
+        &p,
         || adversaries::crash(&algo, faulty, 3),
         horizon,
         3,
         "crash",
     );
     assert_eq!(exit, ExitReason::FullHorizon, "crash: no false recurrence");
-    let exit = assert_early_matches_full(
-        &algo,
-        || adversaries::replay(faulty, 3),
-        horizon,
-        4,
-        "replay",
-    );
+    let exit =
+        assert_early_matches_full(&p, || adversaries::replay(faulty, 3), horizon, 4, "replay");
     assert_eq!(exit, ExitReason::FullHorizon, "replay: no false recurrence");
     let exit = assert_early_matches_full(
-        &algo,
+        &p,
         || adversaries::two_faced(&algo, faulty, 7),
         horizon,
         5,
@@ -151,7 +167,7 @@ fn a36_verdicts_match_across_the_adversary_suite() {
     assert_eq!(exit, ExitReason::Opaque, "two-faced is RNG-driven");
     let wake = 64;
     let exit = assert_early_matches_full(
-        &algo,
+        &p,
         || {
             sleeper(
                 &algo,

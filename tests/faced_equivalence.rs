@@ -19,12 +19,16 @@
 //!   one decides 1–4 rounds earlier); every other exit decides at the
 //!   recorded round.
 //!
-//! The fixed-horizon entry points now stop at Lemma 5's closure
-//! ([`ExitReason::Closed`]) under the adapters that fabricate nothing. Its
-//! verdict and ledger are the full-horizon ones by construction, so the
-//! digest folds it as a full-horizon exit (kind 0) and the pins stay as
-//! recorded; every closure exit is also replayed by hand at the full
-//! horizon and must equal that replay.
+//! The full-horizon side is each scenario stepped by hand for the whole
+//! horizon, which is what the `full` pins recorded. The early side is
+//! `Batch::run` and `Batch::run_prepared`, whose run loop also stops at
+//! Lemma 5's closure ([`ExitReason::Closed`]) under the adapters that
+//! fabricate nothing. A closure exit's verdict and ledger are the
+//! full-horizon ones by construction, so the digest folds it as a
+//! full-horizon exit (kind 0), and every closure exit must equal the
+//! hand-stepped outcome. A(4,1) closes before its recorded cycle exits, so
+//! its pins run through [`NeverClosed`], and its closure exits are checked
+//! on the plain counter.
 //!
 //! [`FacedAdversary`]: synchronous_counting::sim::FacedAdversary
 
@@ -32,11 +36,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use synchronous_counting::attack::{self, MoveSpace, RawState, SampledRaw, Script};
 use synchronous_counting::core::{Algorithm, CounterBuilder, CounterState};
-use synchronous_counting::protocol::{Counter, Fingerprint, NodeId, SyncProtocol};
-use synchronous_counting::sim::testing::FollowMax;
+use synchronous_counting::protocol::{Counter, NodeId, PreparedProtocol, SyncProtocol};
+use synchronous_counting::sim::testing::{FollowMax, NeverClosed};
 use synchronous_counting::sim::{
     adversaries, random_periodic, required_confirmation, two_faced_periodic, Adversary, Batch,
-    BatchReport, ExitReason, OnlineDetector, Scenario, Simulation,
+    BatchReport, ExitReason, OnlineDetector, Scenario, ScenarioOutcome, Simulation,
 };
 
 /// The strategies of one protocol, in pin order.
@@ -118,43 +122,52 @@ fn check(label: &str, full: &BatchReport, early: &BatchReport, scripted: bool, p
     }
 }
 
-/// Replays every closure exit of `report` by hand at the full horizon —
-/// `Simulation::step` and an `OnlineDetector`, no exit — and returns how
-/// many there were. The exit records the rounds it skips, so its verdict
-/// and fabrication ledger must equal the replay's.
-fn check_closed_exits<P>(
-    label: &str,
+/// Every scenario stepped by hand to the full horizon — `Simulation::step`
+/// and an `OnlineDetector`, no exit: the outcomes the `full` pins recorded.
+fn full_horizon<P: Counter>(
     p: &P,
     make: &Factory<'_, P::State>,
     scenarios: &[Scenario<P::State>],
-    report: &BatchReport,
     horizon: u64,
-) -> usize
-where
-    P: Counter,
-{
+) -> BatchReport {
+    let outcomes = scenarios
+        .iter()
+        .map(|scenario| {
+            let mut sim = Simulation::new(p, make(scenario), scenario.seed);
+            let mut detector = OnlineDetector::new(p.modulus());
+            detector.observe(sim.agreed_output_now());
+            for _ in 0..horizon {
+                sim.step();
+                detector.observe(sim.agreed_output_now());
+            }
+            ScenarioOutcome {
+                seed: scenario.seed,
+                result: detector.finish(required_confirmation(p.modulus())),
+                fabricated_states: sim.fabricated_states(),
+                exit_reason: ExitReason::FullHorizon,
+            }
+        })
+        .collect();
+    BatchReport { outcomes }
+}
+
+/// Compares every closure exit of `early` with the hand-stepped `full`
+/// outcome and returns how many there were. The exit records the rounds it
+/// skips, so its verdict and fabrication ledger must equal the full ones.
+fn check_closed_exits(label: &str, full: &BatchReport, early: &BatchReport) -> usize {
     let mut closed = 0;
-    for (scenario, outcome) in scenarios.iter().zip(&report.outcomes) {
-        if !matches!(outcome.exit_reason, ExitReason::Closed { .. }) {
+    for (full, early) in full.outcomes.iter().zip(&early.outcomes) {
+        if !matches!(early.exit_reason, ExitReason::Closed { .. }) {
             continue;
         }
         closed += 1;
-        let mut sim = Simulation::new(p, make(scenario), scenario.seed);
-        let mut detector = OnlineDetector::new(p.modulus());
-        detector.observe(sim.agreed_output_now());
-        for _ in 0..horizon {
-            sim.step();
-            detector.observe(sim.agreed_output_now());
-        }
-        let seed = scenario.seed;
+        let seed = early.seed;
         assert_eq!(
-            outcome.result,
-            detector.finish(required_confirmation(p.modulus())),
+            early.result, full.result,
             "{label} (seed {seed}): closure exit verdict"
         );
         assert_eq!(
-            outcome.fabricated_states,
-            sim.fabricated_states(),
+            early.fabricated_states, full.fabricated_states,
             "{label} (seed {seed}): closure exit ledger"
         );
     }
@@ -208,13 +221,10 @@ where
     }
 }
 
-/// The prepared entry points of a protocol that has them:
-/// `Batch::{run_prepared, run_prepared_early}` under one factory.
-type Prepared<'p, S> = dyn Fn(&Factory<'_, S>) -> Option<(BatchReport, BatchReport)> + 'p;
-
-/// Every strategy on one protocol through `Batch::{run, run_early}`, and
-/// through `prepared`'s entry points when the protocol has them — those
-/// must agree with the plain paths outcome for outcome.
+/// Every strategy on one protocol: the full side stepped by hand, the
+/// early side through `Batch::run` and `Batch::run_prepared`, which must
+/// agree outcome for outcome. Checks the pins when given, and returns how
+/// many closure exits were compared with the full side.
 #[allow(clippy::too_many_arguments)]
 fn sweep<P, R>(
     label: &str,
@@ -224,11 +234,10 @@ fn sweep<P, R>(
     raw: R,
     scenarios: &[Scenario<P::State>],
     horizon: u64,
-    prepared: &Prepared<'_, P::State>,
-    pins: &[Pin; 11],
+    pins: Option<&[Pin; 11]>,
 ) -> usize
 where
-    P: Counter + Fingerprint + Sync,
+    P: Counter + PreparedProtocol + Sync,
     P::State: Clone + std::fmt::Debug + Send + Sync,
     R: RawState<P::State> + Sync,
 {
@@ -238,20 +247,14 @@ where
     for (k, name) in STRATEGIES.iter().enumerate() {
         let label = format!("{label} {name}");
         let make = factory(p, faulty, &fixed_state, &scripts, &raw, k);
-        let full = batch.run(scenarios, |s| make(s));
-        let early = batch.run_early(scenarios, |s| make(s));
-        if let Some((full_prepared, early_prepared)) = prepared(&*make) {
-            assert_eq!(
-                full_prepared.outcomes, full.outcomes,
-                "{label}: run_prepared"
-            );
-            assert_eq!(
-                early_prepared.outcomes, early.outcomes,
-                "{label}: run_prepared_early"
-            );
+        let full = full_horizon(p, &*make, scenarios, horizon);
+        let early = batch.run(scenarios, |s| make(s));
+        let prepared = batch.run_prepared(scenarios, |s| make(s));
+        assert_eq!(prepared.outcomes, early.outcomes, "{label}: run_prepared");
+        if let Some(pins) = pins {
+            check(&label, &full, &early, k >= 8, &pins[k]);
         }
-        check(&label, &full, &early, k >= 8, &pins[k]);
-        closed += check_closed_exits(&label, p, &*make, scenarios, &full, horizon);
+        closed += check_closed_exits(&label, &full, &early);
     }
     closed
 }
@@ -274,32 +277,28 @@ fn some_state(algo: &Algorithm) -> CounterState {
     algo.random_state(NodeId::new(0), &mut SmallRng::seed_from_u64(99))
 }
 
-/// All four `Batch` entry points of an [`Algorithm`].
-fn algorithm_sweep(
+/// [`sweep`] on `p`, a protocol over `algo`'s states and raw vocabulary.
+fn algorithm_sweep<P>(
     label: &str,
+    p: &P,
     algo: &Algorithm,
     faulty: &[usize],
     seeds: std::ops::Range<u64>,
     horizon: u64,
-    pins: &[Pin; 11],
-) -> usize {
+    pins: Option<&[Pin; 11]>,
+) -> usize
+where
+    P: Counter<State = CounterState> + PreparedProtocol + Sync,
+{
     let scenarios = Scenario::seeds(seeds);
-    let batch = Batch::new(algo, horizon).threads(2);
-    let prepared = |make: &Factory<'_, CounterState>| {
-        Some((
-            batch.run_prepared(&scenarios, |s| make(s)),
-            batch.run_prepared_early(&scenarios, |s| make(s)),
-        ))
-    };
     sweep(
         label,
-        algo,
+        p,
         faulty,
         some_state(algo),
         algo,
         &scenarios,
         horizon,
-        &prepared,
         pins,
     )
 }
@@ -316,8 +315,7 @@ fn followmax_matches_the_recorded_strategies() {
         SampledRaw(&p),
         &scenarios,
         64,
-        &|_| None,
-        &FOLLOWMAX,
+        Some(&FOLLOWMAX),
     );
 }
 
@@ -337,8 +335,7 @@ fn followmax_two_faults_match_the_recorded_strategies() {
         SampledRaw(&p),
         &scenarios,
         96,
-        &|_| None,
-        &FOLLOWMAX_TWO_FAULTS,
+        Some(&FOLLOWMAX_TWO_FAULTS),
     );
 }
 
@@ -346,14 +343,22 @@ fn followmax_two_faults_match_the_recorded_strategies() {
 fn a4_matches_the_recorded_strategies() {
     // Node 1 faulty: replay's donors {0, 3} are a strict subset of the
     // correct nodes, so a ring snapshot of every correct node would be
-    // finer than the recorded one.
-    let closed = algorithm_sweep("A(4,1)", &a4(), &[1], 0..6, 3 * 2304, &A4);
+    // finer than the recorded one. The recorded cycle exits come after
+    // Lemma 5's closure, so the pins run with the closure exit disabled;
+    // the plain counter's closure exits are compared with the full side.
+    let algo = a4();
+    let horizon = 3 * 2304;
+    let label = "A(4,1)";
+    let never = NeverClosed(&algo);
+    algorithm_sweep(label, &never, &algo, &[1], 0..6, horizon, Some(&A4));
+    let closed = algorithm_sweep(label, &algo, &algo, &[1], 0..6, horizon, None);
     assert!(closed > 0, "A(4,1): no closure exit to replay");
 }
 
 #[test]
 fn a12_matches_the_recorded_strategies() {
-    let closed = algorithm_sweep("A(12,3)", &a12(), &[0, 5, 10], 0..4, 160, &A12);
+    let algo = a12();
+    let closed = algorithm_sweep("A(12,3)", &algo, &algo, &[0, 5, 10], 0..4, 160, Some(&A12));
     assert!(closed > 0, "A(12,3): no closure exit to replay");
 }
 
