@@ -651,3 +651,138 @@ impl Solver {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use sc_core::LutSpec;
+
+    use super::*;
+    use crate::checker::FaultSets;
+    use crate::orbit::{exchangeable, OrbitSolver};
+    use crate::reference::FaultSetAnalysis;
+
+    /// A random table within the reference checker's limits: a counting
+    /// rule with a share `noise` of its rows redrawn at random. The rule
+    /// `g` walks a followed state down to the `0 ↔ 1` cycle, so agreement
+    /// is reached through layers of depth up to `|X|`. Symmetric tables
+    /// follow a state received `n − f` times (else the top state) and
+    /// redraw per multiset of received states, so every node shares one
+    /// exchangeable table;
+    /// asymmetric ones form a chain — node `v` follows node `v − 1`, node 0
+    /// itself — and redraw per node and row.
+    fn random_lut(rng: &mut SmallRng, n: usize, f: usize, x: u8, symmetric: bool) -> LutCounter {
+        let noise = [0.0, 0.05, 0.2, 1.0][rng.random_range(0..4usize)];
+        let g = |s: u8| if s >= 2 { s - 2 } else { 1 - s };
+        let xs = x as usize;
+        let mut classes: HashMap<Vec<u8>, u8> = HashMap::new();
+        let mut table = |rng: &mut SmallRng, node: usize| -> Vec<u8> {
+            (0..xs.pow(n as u32))
+                .map(|r| {
+                    let mut digits: Vec<u8> =
+                        (0..n).map(|i| (r / xs.pow(i as u32) % xs) as u8).collect();
+                    let mut draw = |rng: &mut SmallRng, followed: u8| {
+                        if rng.random_bool(noise) {
+                            rng.random_range(0..x)
+                        } else {
+                            g(followed)
+                        }
+                    };
+                    if !symmetric {
+                        return draw(rng, digits[node.saturating_sub(1)]);
+                    }
+                    digits.sort_unstable();
+                    let quorum = digits
+                        .windows(n - f)
+                        .find(|w| w[0] == w[n - f - 1])
+                        .map_or(x - 1, |w| w[0]);
+                    *classes.entry(digits).or_insert_with(|| draw(rng, quorum))
+                })
+                .collect()
+        };
+        let shared = table(rng, 0);
+        let transition = (0..n)
+            .map(|node| {
+                if symmetric {
+                    shared.clone()
+                } else {
+                    table(rng, node)
+                }
+            })
+            .collect();
+        let out: Vec<u64> = (0..x).map(|s| u64::from(s) % 2).collect();
+        LutCounter::new(LutSpec {
+            n,
+            f,
+            c: 2,
+            states: x,
+            transition,
+            output: vec![out; n],
+            stabilization_bound: 0,
+        })
+        .unwrap()
+    }
+
+    /// Pins the attractor layering itself, not just its summary: on random
+    /// small tables, every configuration of every fault set gets the same
+    /// time (or stays undecided) in the full solver, in the orbit quotient
+    /// read through `rank(sort(digits))`, and in the reference checker.
+    #[test]
+    fn attractor_times_agree_per_configuration_with_the_reference() {
+        let shapes: [(usize, usize, u8); 9] = [
+            (1, 0, 5),
+            (2, 0, 4),
+            (3, 0, 3),
+            (3, 0, 5),
+            (4, 1, 2),
+            (4, 1, 3),
+            (4, 1, 4),
+            (5, 1, 3),
+            (7, 2, 2),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x1a7e_5eed);
+        let mut full = Solver::default();
+        let mut orbit = OrbitSolver::default();
+        let (mut layered, mut partial, mut quotiented) = (0usize, 0usize, 0usize);
+        for round in 0..24 {
+            for &(n, f, x) in &shapes {
+                let symmetric = round % 2 == 0;
+                let lut = random_lut(&mut rng, n, f, x, symmetric);
+                for faulty in FaultSets::new(n, f) {
+                    let oracle = FaultSetAnalysis::run(&lut, &faulty).unwrap();
+                    let want: Vec<u32> = oracle
+                        .time
+                        .iter()
+                        .map(|t| t.map_or(UNDECIDED, |t| t as u32))
+                        .collect();
+                    full.run(&lut, &faulty).unwrap();
+                    assert_eq!(full.time, want, "full solver, {n}/{f}/{x} F={faulty:?}");
+                    if exchangeable(&lut) {
+                        quotiented += 1;
+                        orbit.run(&lut, &faulty).unwrap();
+                        for (e, &t) in want.iter().enumerate() {
+                            let digits = full.config_digits(e);
+                            assert_eq!(
+                                orbit.config_time(&digits),
+                                t,
+                                "quotient, {n}/{f}/{x} F={faulty:?} e={e}"
+                            );
+                        }
+                    }
+                    let decided = want.iter().filter(|&&t| t != UNDECIDED);
+                    layered += usize::from(decided.clone().any(|&t| t >= 2));
+                    partial += usize::from(decided.count() % want.len() != 0);
+                }
+            }
+        }
+        // The sample must exercise deep layers, partly stuck games and the
+        // quotient.
+        assert!(
+            layered > 80 && partial > 200 && quotiented > 500,
+            "layered {layered}, partial {partial}, quotiented {quotiented}"
+        );
+    }
+}

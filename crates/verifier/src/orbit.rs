@@ -681,6 +681,14 @@ impl OrbitSolver {
         self.time[self.rank(scratch)] != UNDECIDED
     }
 
+    /// Attractor time of the orbit of a full-space digit vector.
+    #[cfg(test)]
+    pub(crate) fn config_time(&self, digits: &[u8]) -> u32 {
+        let mut sorted = digits.to_vec();
+        sorted.sort_unstable();
+        self.time[self.rank(&sorted)]
+    }
+
     /// Extracts a lasso-shaped non-stabilising execution, mapped back from
     /// the quotient to the **full** configuration space so the emitted
     /// witness is byte-identical to [`crate::game::Solver::extract_witness`]'s

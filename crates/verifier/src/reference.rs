@@ -83,7 +83,7 @@ pub fn analyze(lut: &LutCounter) -> Result<AnalysisSummary, ParamError> {
 
 /// Verification of one fault set, keeping the exploration data for witness
 /// extraction.
-struct FaultSetAnalysis {
+pub(crate) struct FaultSetAnalysis {
     honest: Vec<usize>,
     x: usize,
     combos: usize,
@@ -91,7 +91,7 @@ struct FaultSetAnalysis {
     covered: usize,
     worst_time: u64,
     successors: Vec<Vec<u32>>,
-    time: Vec<Option<u64>>,
+    pub(crate) time: Vec<Option<u64>>,
 }
 
 impl FaultSetAnalysis {
@@ -106,7 +106,7 @@ impl FaultSetAnalysis {
         digits
     }
 
-    fn run(lut: &LutCounter, faulty: &[usize]) -> Result<Self, ParamError> {
+    pub(crate) fn run(lut: &LutCounter, faulty: &[usize]) -> Result<Self, ParamError> {
         let spec = lut.spec();
         let x = spec.states as usize;
         let honest: Vec<usize> = (0..spec.n).filter(|v| !faulty.contains(v)).collect();
