@@ -684,7 +684,7 @@ mod tests {
                 .map(|r| {
                     let mut digits: Vec<u8> =
                         (0..n).map(|i| (r / xs.pow(i as u32) % xs) as u8).collect();
-                    let mut draw = |rng: &mut SmallRng, followed: u8| {
+                    let draw = |rng: &mut SmallRng, followed: u8| {
                         if rng.random_bool(noise) {
                             rng.random_range(0..x)
                         } else {
