@@ -6,8 +6,9 @@
 //! * criterion micro-benches of a fixed sweep per level, on the looped
 //!   single-run pipeline and the batched pipeline,
 //! * a summary table of rounds/sec over a 64-scenario sweep per adversary
-//!   regime, with the speedup factor and the **state-materialisation
-//!   ledger** — the engine baseline future PRs are judged against, and
+//!   regime — the batch's rate counts the rounds it executed before its
+//!   closure or cycle exits — with the per-round speedup factor and the
+//!   **state-materialisation ledger**, and
 //! * the **early-decision table**: E1/E3-style long-horizon sweeps run
 //!   full-horizon (the looped pipeline, every round executed) vs.
 //!   [`Batch::run_prepared`], which stops at the first closure or cycle
@@ -19,8 +20,8 @@
 //!   asserted; the A(36,7) row gates ≥ 20×), plus structured-move search
 //!   vs plain hill-climbing on the sliced A(4,1) objective; the run
 //!   appends its measurements to `BENCH_bitsliced.json`,
-//! * the **synthesis table**: the orbit-quotient solver vs the retained
-//!   full bitset solver on an exchangeable `n = 4, f = 1` workload
+//! * the **synthesis table**: the game solver's orbit indexing vs its
+//!   full-configuration indexing on an exchangeable `n = 4, f = 1` workload
 //!   (bitwise-equal summaries asserted, ≥ 3× speedup gated), and the
 //!   end-to-end `n = 5, f = 1` campaign — attack pre-filter + quotient
 //!   verifier over the declared 64-candidate symmetric family, with the
@@ -236,26 +237,33 @@ fn bench_throughput(c: &mut Criterion) {
 }
 
 /// One timed full-size sweep per engine per (level, adversary), printed as
-/// the rounds/sec baseline table with the speedup factor and the
+/// the rounds/sec baseline table — the batch's rate over the rounds it
+/// executed — with the per-round speedup factor and the
 /// state-materialisation ledger of both pipelines.
 fn summary_table() {
     println!("\n## {SCENARIOS}-scenario sweeps, {HORIZON} rounds each — rounds/sec baseline\n");
     println!(
-        "| {:<8} | {:<10} | {:>16} | {:>16} | {:>8} | {:>12} | {:>12} |",
+        "The batch stops a scenario at its closure or cycle exit: its rate counts the \
+         rounds it executed (`batch rounds`), and `speedup` compares per-round rates.\n"
+    );
+    println!(
+        "| {:<8} | {:<10} | {:>16} | {:>16} | {:>12} | {:>8} | {:>12} | {:>12} |",
         "counter",
         "adversary",
         "loop (rounds/s)",
         "batch (rounds/s)",
+        "batch rounds",
         "speedup",
         "loop fabric",
         "batch fabric"
     );
     println!(
-        "|{}|{}|{}|{}|{}|{}|{}|",
+        "|{}|{}|{}|{}|{}|{}|{}|{}|",
         "-".repeat(10),
         "-".repeat(12),
         "-".repeat(18),
         "-".repeat(18),
+        "-".repeat(14),
         "-".repeat(10),
         "-".repeat(14),
         "-".repeat(14)
@@ -272,6 +280,7 @@ fn summary_table() {
             let batched = sweep_batched(&algo, &factory, SCENARIOS, HORIZON);
             let batched_time = start.elapsed().as_secs_f64();
             let batch_fabricated = batched.fabricated_states();
+            let executed = SCENARIOS * HORIZON - batched.rounds_saved(HORIZON);
             let batched = verdicts(&batched);
 
             // Same protocol, same seeds, same horizon ⇒ identical verdicts;
@@ -281,13 +290,16 @@ fn summary_table() {
                 "{label}/{regime}: engines disagree — benchmark invalid"
             );
 
+            let loop_rate = total_rounds / loop_time;
+            let batch_rate = executed as f64 / batched_time;
             println!(
-                "| {:<8} | {:<10} | {:>16.0} | {:>16.0} | {:>7.2}x | {:>12} | {:>12} |",
+                "| {:<8} | {:<10} | {:>16.0} | {:>16.0} | {:>12} | {:>7.2}x | {:>12} | {:>12} |",
                 label,
                 regime,
-                total_rounds / loop_time,
-                total_rounds / batched_time,
-                loop_time / batched_time,
+                loop_rate,
+                batch_rate,
+                executed,
+                batch_rate / loop_rate,
                 loop_fabricated,
                 batch_fabricated
             );
@@ -975,10 +987,10 @@ fn symmetric_candidates() -> Vec<LutCounter> {
         .collect()
 }
 
-/// The synthesis-pipeline table: the orbit-quotient solver vs the retained
-/// full bitset solver on an exchangeable `n = 4, f = 1, |X| = 8` workload
-/// (summaries asserted bitwise equal candidate for candidate, **≥ 3×**
-/// speedup gated), followed by the end-to-end `n = 5, f = 1` campaign —
+/// The synthesis-pipeline table: the game solver's orbit indexing vs its
+/// full-configuration indexing on an exchangeable `n = 4, f = 1, |X| = 8`
+/// workload (summaries asserted bitwise equal candidate for candidate,
+/// **≥ 3×** speedup gated), followed by the end-to-end `n = 5, f = 1` campaign —
 /// the declared 64-candidate symmetric family swept through the attack
 /// pre-filter and the quotient verifier, with the filtered / survivor /
 /// verified / found ledger. Measurements append to `BENCH_synthesis.json`.

@@ -30,7 +30,8 @@
 //!
 //! [`Counter::deterministic_transition`]: sc_protocol::Counter::deterministic_transition
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use sc_protocol::BitVec;
 
@@ -119,6 +120,28 @@ fn hash_config(len_bits: usize, words: &[u64]) -> u64 {
     h
 }
 
+/// The hasher of the interning table: its keys are [`hash_config`] values
+/// already, so it hashes no further. The table picks buckets from the low
+/// bits, which a word-wise FNV leaves depending on the low bits of each word
+/// only, so the high half is folded in — a bijection, so keys collide
+/// exactly when their FNV values do.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interning table is keyed by u64 only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 /// The bounded cycle detector: interning hash table first, Brent anchor
 /// after the memory cap.
 #[derive(Debug)]
@@ -138,7 +161,7 @@ enum Phase {
         /// On a hash collision with a *different* configuration the
         /// newcomer is not stored — sound (matches are verified), merely
         /// delays detection — so slots are NOT round numbers.
-        seen: HashMap<u64, u32>,
+        seen: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
         /// Round each stored slot was committed at.
         rounds: Vec<u64>,
         /// Word-arena start offset per stored slot.
@@ -169,7 +192,7 @@ impl CycleDetector {
             fed: 0,
             cap_words: cap_words.max(1),
             phase: Phase::Table {
-                seen: HashMap::new(),
+                seen: HashMap::default(),
                 rounds: Vec::new(),
                 starts: Vec::new(),
                 lens: Vec::new(),
@@ -204,9 +227,9 @@ impl CycleDetector {
                 words,
             } => {
                 let h = hash_config(bits.len(), bits.words());
-                match seen.get(&h) {
-                    Some(&slot) => {
-                        let slot = slot as usize;
+                match seen.entry(h) {
+                    Entry::Occupied(slot) => {
+                        let slot = *slot.get() as usize;
                         let start = starts[slot] as usize;
                         let end = start + (lens[slot] as usize).div_ceil(64);
                         if lens[slot] as usize == bits.len() && words[start..end] == *bits.words() {
@@ -216,9 +239,9 @@ impl CycleDetector {
                             Some(Feed::Recorded)
                         }
                     }
-                    None => {
+                    Entry::Vacant(slot) => {
                         if words.len() + bits.words().len() <= self.cap_words {
-                            seen.insert(h, starts.len() as u32);
+                            slot.insert(starts.len() as u32);
                             rounds.push(round);
                             starts.push(words.len() as u32);
                             lens.push(bits.len() as u32);

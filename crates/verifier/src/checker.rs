@@ -4,22 +4,20 @@
 use sc_core::LutCounter;
 use sc_protocol::ParamError;
 
-use crate::game::{SetStats, Solver};
-use crate::orbit::{binomial, exchangeable, OrbitSolver};
+use crate::game::{binomial, exchangeable, Configs, Game, Index, Orbits, SetStats};
 
 /// Which game engine an [`Analyzer`] drives.
 ///
 /// The quotiented solver is only sound for *exchangeable* LUTs (identical
 /// per-node tables, invariant under permuting received positions — see
-/// `crate::orbit`); [`SolverMode::Auto`] detects the symmetry per
+/// `crate::game`); [`SolverMode::Auto`] detects the symmetry per
 /// candidate and quotients exactly when it may.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverMode {
     /// Detect exchangeability and pick the quotient when sound (default).
     #[default]
     Auto,
-    /// Always the unquotiented PR 4 bitset solver — the retained baseline
-    /// and bitwise-equivalence oracle.
+    /// Always solve over full configurations (the trivial group).
     Full,
     /// Force the orbit quotient; [`Analyzer::analyze`] errors on a
     /// non-exchangeable LUT instead of silently falling back.
@@ -113,33 +111,35 @@ pub struct AnalysisSummary {
     pub failure: Option<(Vec<usize>, usize)>,
 }
 
-/// Per-fault-set ingredients of an [`AnalysisSummary`].
-type SetOutcome = (Vec<usize>, SetStats);
+/// The summary fold: per-fault-set statistics, each weighted by the
+/// number of fault sets it stands for, folded in enumeration order.
+#[derive(Default)]
+struct Fold {
+    worst: u64,
+    covered: u128,
+    total: u128,
+    failure: Option<(Vec<usize>, usize)>,
+}
 
-/// Folds per-fault-set outcomes (streamed, in enumeration order) into a
-/// summary; the first error wins.
-fn fold_outcomes(
-    outcomes: impl IntoIterator<Item = Result<SetOutcome, ParamError>>,
-) -> Result<AnalysisSummary, ParamError> {
-    let mut worst = 0u64;
-    let mut covered = 0usize;
-    let mut total = 0usize;
-    let mut failure: Option<(Vec<usize>, usize)> = None;
-    for outcome in outcomes {
-        let (fault_set, stats) = outcome?;
-        total += stats.configs;
-        covered += stats.covered;
+impl Fold {
+    fn add(&mut self, fault_set: &[usize], stats: SetStats, multiplicity: u64) {
+        let weight = u128::from(multiplicity);
+        self.total += weight * stats.configs as u128;
+        self.covered += weight * stats.covered as u128;
         if stats.covered == stats.configs {
-            worst = worst.max(stats.worst_time);
-        } else if failure.is_none() {
-            failure = Some((fault_set, stats.configs - stats.covered));
+            self.worst = self.worst.max(stats.worst_time);
+        } else if self.failure.is_none() {
+            self.failure = Some((fault_set.to_vec(), stats.configs - stats.covered));
         }
     }
-    Ok(AnalysisSummary {
-        worst_time: worst,
-        coverage: covered as f64 / total as f64,
-        failure,
-    })
+
+    fn finish(self) -> AnalysisSummary {
+        AnalysisSummary {
+            worst_time: self.worst,
+            coverage: self.covered as f64 / self.total as f64,
+            failure: self.failure,
+        }
+    }
 }
 
 /// Checks every fault set of `lut` and aggregates exact worst-case time,
@@ -189,107 +189,99 @@ pub fn analyze(lut: &LutCounter) -> Result<AnalysisSummary, ParamError> {
 /// ```
 #[derive(Default)]
 pub struct Analyzer {
-    solver: Solver,
-    orbit: OrbitSolver,
+    configs: Game<Configs>,
+    orbits: Game<Orbits>,
     mode: SolverMode,
     dedup_faults: bool,
 }
 
-/// One game per fault set, dispatched to either engine — the seam the
-/// serial fold, the parallel fan-out and the dedup loop all share.
-trait SetEngine: Default + Send {
-    fn run_set(&mut self, lut: &LutCounter, faulty: &[usize]) -> Result<SetStats, ParamError>;
-}
-
-impl SetEngine for Solver {
-    fn run_set(&mut self, lut: &LutCounter, faulty: &[usize]) -> Result<SetStats, ParamError> {
-        self.run(lut, faulty)
-    }
-}
-
-impl SetEngine for OrbitSolver {
-    fn run_set(&mut self, lut: &LutCounter, faulty: &[usize]) -> Result<SetStats, ParamError> {
-        self.run(lut, faulty)
-    }
-}
-
-/// Serial enumeration, fold inlined over the lending walk: no fault set
-/// is ever cloned except the first failing one.
-fn analyze_serial<E: SetEngine>(
-    engine: &mut E,
+/// Checks every fault set of `lut` on `game` — with `dedup`, one
+/// representative per fault-set size — and, when `witness` is asked for,
+/// re-solves the first failing fault set to extract its lasso.
+fn solve<I: Index>(
+    game: &mut Game<I>,
     lut: &LutCounter,
-) -> Result<AnalysisSummary, ParamError> {
+    dedup: bool,
+    witness: bool,
+) -> Result<(AnalysisSummary, Option<Witness>), ParamError> {
     let spec = lut.spec();
-    let mut worst = 0u64;
-    let mut covered = 0usize;
-    let mut total = 0usize;
-    let mut failure: Option<(Vec<usize>, usize)> = None;
-    let mut sets = FaultSets::new(spec.n, spec.f);
-    while let Some(fault_set) = sets.advance() {
-        let stats = engine.run_set(lut, fault_set)?;
-        total += stats.configs;
-        covered += stats.covered;
-        if stats.covered == stats.configs {
-            worst = worst.max(stats.worst_time);
-        } else if failure.is_none() {
-            failure = Some((fault_set.to_vec(), stats.configs - stats.covered));
+    let mut fold = Fold::default();
+    if dedup {
+        // The `f + 1` games are small enough that the fan-out would cost
+        // more than it saves.
+        let mut rep: Vec<usize> = Vec::with_capacity(spec.f);
+        for k in 0..=spec.f.min(spec.n) {
+            fold.add(&rep, game.run(lut, &rep)?, binomial(spec.n, k));
+            rep.push(k);
+        }
+    } else {
+        // Gate on the largest game in the loop — the fault-free index
+        // count; tiny instances (the synthesis hill-climb) stay on this
+        // thread.
+        let threads = sc_exec::threads();
+        let weight = I::count(spec.states as usize, spec.n).unwrap_or(usize::MAX);
+        let sets: Vec<Vec<usize>> = if weight >= 1 << 12 && threads > 1 {
+            FaultSets::new(spec.n, spec.f).collect()
+        } else {
+            Vec::new()
+        };
+        if sets.len() > 1 {
+            fold = analyze_on_pool(sc_exec::pool(), game, lut, &sets, threads)?;
+        } else {
+            let mut sets = FaultSets::new(spec.n, spec.f);
+            while let Some(fault_set) = sets.advance() {
+                fold.add(fault_set, game.run(lut, fault_set)?, 1);
+            }
         }
     }
-    Ok(AnalysisSummary {
-        worst_time: worst,
-        coverage: covered as f64 / total as f64,
-        failure,
-    })
+    let summary = fold.finish();
+    let witness = match &summary.failure {
+        Some((fault_set, _)) if witness => {
+            game.run(lut, fault_set)?;
+            game.extract_witness(lut)
+        }
+        _ => None,
+    };
+    Ok((summary, witness))
 }
 
-/// Fans the fault-set games out on the process-wide [`sc_exec`] pool.
-/// Fault sets are enumerated preorder with the heaviest games (the
-/// size-ascending prefix chain `[]`, `[0]`, `[0,1]`, …) first, so static
-/// contiguous chunks would hand one worker nearly all the work — the
-/// pool's dynamic index claiming interleaves heavy and light games across
-/// whoever is free instead. Each claiming thread checks out a private
-/// engine for the whole call: the first to ask is seeded with the
-/// analyzer's warm engine (the rest bring their own), and one warm engine
-/// is handed back to the analyzer afterwards, so repeated `analyze` calls
-/// keep their allocation-free steady state. Results come back in
-/// enumeration order regardless of which thread ran which game, so the
-/// summary — including which failing fault set is reported and which
-/// error wins — is bitwise identical to the serial path at every thread
-/// count.
-fn analyze_parallel<E: SetEngine>(
-    engine: &mut E,
-    lut: &LutCounter,
-    sets: &[Vec<usize>],
-    threads: usize,
-) -> Result<AnalysisSummary, ParamError> {
-    analyze_on_pool(sc_exec::pool(), engine, lut, sets, threads)
-}
-
-/// [`analyze_parallel`] against an explicit pool — the seam the forced
-/// fan-out test drives with its own worker counts.
-fn analyze_on_pool<E: SetEngine>(
+/// Fans the fault-set games out on `pool`. Fault sets are enumerated
+/// preorder with the heaviest games (the size-ascending prefix chain `[]`,
+/// `[0]`, `[0,1]`, …) first, so static contiguous chunks would hand one
+/// worker nearly all the work — the pool's dynamic index claiming
+/// interleaves heavy and light games across whoever is free instead. Each
+/// claiming thread checks out a private game for the whole call: the first
+/// to ask is seeded with the analyzer's warm game (the rest bring their
+/// own), and one warm game is handed back afterwards, so repeated
+/// `analyze` calls keep their allocation-free steady state. Results are
+/// folded in enumeration order regardless of which thread ran which game,
+/// so the summary — including which failing fault set is reported and
+/// which error wins — is bitwise identical to the serial path at every
+/// thread count.
+fn analyze_on_pool<I: Index>(
     pool: &sc_exec::Pool,
-    engine: &mut E,
+    game: &mut Game<I>,
     lut: &LutCounter,
     sets: &[Vec<usize>],
     threads: usize,
-) -> Result<AnalysisSummary, ParamError> {
+) -> Result<Fold, ParamError> {
     let cap = threads.min(sets.len()).max(1);
-    let warm = std::sync::Mutex::new(Some(std::mem::take(engine)));
-    let engines: sc_exec::WorkerScratch<E> = sc_exec::WorkerScratch::new();
-    let outcomes: Vec<Result<SetOutcome, ParamError>> = pool.map(sets.len(), cap, |index| {
-        engines.with(
+    let warm = std::sync::Mutex::new(Some(std::mem::take(game)));
+    let games: sc_exec::WorkerScratch<Game<I>> = sc_exec::WorkerScratch::new();
+    let outcomes: Vec<Result<SetStats, ParamError>> = pool.map(sets.len(), cap, |index| {
+        games.with(
             || warm.lock().unwrap().take().unwrap_or_default(),
-            |e| {
-                e.run_set(lut, &sets[index])
-                    .map(|stats| (sets[index].clone(), stats))
-            },
+            |g| g.run(lut, &sets[index]),
         )
     });
-    if let Some(e) = engines.take_all().into_iter().next() {
-        *engine = e;
+    if let Some(g) = games.take_all().into_iter().next() {
+        *game = g;
     }
-    fold_outcomes(outcomes)
+    let mut fold = Fold::default();
+    for (fault_set, outcome) in sets.iter().zip(outcomes) {
+        fold.add(fault_set, outcome?, 1);
+    }
+    Ok(fold)
 }
 
 impl Analyzer {
@@ -317,10 +309,9 @@ impl Analyzer {
     /// only the warm buffers are not shared.
     pub fn fork(&self) -> Analyzer {
         Analyzer {
-            solver: Solver::default(),
-            orbit: OrbitSolver::default(),
             mode: self.mode,
             dedup_faults: self.dedup_faults,
+            ..Analyzer::default()
         }
     }
 
@@ -344,94 +335,13 @@ impl Analyzer {
     /// limits, or when [`SolverMode::Quotient`] is forced on a
     /// non-exchangeable LUT.
     pub fn analyze(&mut self, lut: &LutCounter) -> Result<AnalysisSummary, ParamError> {
-        let spec = lut.spec();
-        let symmetric = match self.mode {
-            SolverMode::Full => false,
-            SolverMode::Auto => exchangeable(lut),
-            SolverMode::Quotient => {
-                if !exchangeable(lut) {
-                    return Err(ParamError::constraint(
-                        "quotient mode needs an exchangeable LUT: identical per-node \
-                         tables, symmetric in the received positions",
-                    ));
-                }
-                true
-            }
-        };
-        if symmetric && self.dedup_faults {
-            return self.analyze_dedup(lut);
-        }
-        let quotient = symmetric && self.mode != SolverMode::Full;
-        // Gate on the largest game in the loop — the fault-free
-        // configuration (or orbit) count; tiny instances (the
-        // synthesis hill-climb) stay on this thread.
-        let threads = sc_exec::threads();
-        let weight = if quotient {
-            binomial(spec.states as usize + spec.n - 1, spec.n)
-                .try_into()
-                .unwrap_or(usize::MAX)
-        } else {
-            (spec.states as usize)
-                .checked_pow(spec.n as u32)
-                .unwrap_or(usize::MAX)
-        };
-        if weight >= 1 << 12 && threads > 1 {
-            let sets: Vec<Vec<usize>> = FaultSets::new(spec.n, spec.f).collect();
-            if sets.len() > 1 {
-                return if quotient {
-                    analyze_parallel(&mut self.orbit, lut, &sets, threads)
-                } else {
-                    analyze_parallel(&mut self.solver, lut, &sets, threads)
-                };
-            }
-        }
-        if quotient {
-            analyze_serial(&mut self.orbit, lut)
-        } else {
-            analyze_serial(&mut self.solver, lut)
-        }
-    }
-
-    /// Symmetry-aware fault-set enumeration (see
-    /// [`Analyzer::dedup_fault_sets`]): one game per fault-set *size*,
-    /// statistics scaled by the orbit multiplicity `C(n, k)`. Runs on the
-    /// engine the mode selects; the `f + 1` games are small enough that
-    /// the fan-out would cost more than it saves.
-    fn analyze_dedup(&mut self, lut: &LutCounter) -> Result<AnalysisSummary, ParamError> {
-        let spec = lut.spec();
-        let quotient = self.mode != SolverMode::Full;
-        let mut worst = 0u64;
-        let mut covered = 0u128;
-        let mut total = 0u128;
-        let mut failure: Option<(Vec<usize>, usize)> = None;
-        let mut rep: Vec<usize> = Vec::with_capacity(spec.f);
-        for k in 0..=spec.f.min(spec.n) {
-            let stats = if quotient {
-                self.orbit.run(lut, &rep)?
-            } else {
-                self.solver.run(lut, &rep)?
-            };
-            let mult = u128::from(binomial(spec.n, k));
-            total += mult * stats.configs as u128;
-            covered += mult * stats.covered as u128;
-            if stats.covered == stats.configs {
-                worst = worst.max(stats.worst_time);
-            } else if failure.is_none() {
-                failure = Some((rep.clone(), stats.configs - stats.covered));
-            }
-            rep.push(k);
-        }
-        Ok(AnalysisSummary {
-            worst_time: worst,
-            coverage: covered as f64 / total as f64,
-            failure,
-        })
+        self.solve(lut, false).map(|(summary, _)| summary)
     }
 
     /// [`verify`] on this analyzer's engines and mode: analyzes, and on
     /// failure re-solves the failing fault set to extract the replayable
-    /// [`Witness`]. Both engines extract byte-identical witnesses (the
-    /// quotient walks the full space, querying orbits only for
+    /// [`Witness`]. Both indexings extract byte-identical witnesses (the
+    /// walk runs in the full space, querying the index only for
     /// decidedness), so the verdict does not depend on the mode — the
     /// `quotient_cross` suite enforces it.
     ///
@@ -440,27 +350,42 @@ impl Analyzer {
     /// Returns [`ParamError`] when the instance exceeds the exploration
     /// limits of the selected engine.
     pub fn verify(&mut self, lut: &LutCounter) -> Result<Verdict, ParamError> {
-        let summary = self.analyze(lut)?;
-        match summary.failure {
-            None => Ok(Verdict::Stabilizes {
+        let (summary, witness) = self.solve(lut, true)?;
+        Ok(match summary.failure {
+            None => Verdict::Stabilizes {
                 worst_case_time: summary.worst_time,
-            }),
-            Some((fault_set, stuck_configs)) => {
-                let quotient = self.mode != SolverMode::Full && exchangeable(lut);
-                let witness = if quotient {
-                    self.orbit.run(lut, &fault_set)?;
-                    self.orbit.extract_witness(lut)
-                } else {
-                    self.solver.run(lut, &fault_set)?;
-                    self.solver.extract_witness(lut)
-                }
-                .expect("a failing fault set yields a witness");
-                Ok(Verdict::Fails {
-                    fault_set,
-                    stuck_configs,
-                    witness,
-                })
+            },
+            Some((fault_set, stuck_configs)) => Verdict::Fails {
+                fault_set,
+                stuck_configs,
+                witness: witness.expect("a failing fault set yields a witness"),
+            },
+        })
+    }
+
+    /// The one engine dispatch: the orbit quotient exactly when the mode
+    /// allows it and the LUT is exchangeable, the full indexing otherwise.
+    fn solve(
+        &mut self,
+        lut: &LutCounter,
+        witness: bool,
+    ) -> Result<(AnalysisSummary, Option<Witness>), ParamError> {
+        let symmetric = match self.mode {
+            SolverMode::Full => false,
+            SolverMode::Auto => exchangeable(lut),
+            SolverMode::Quotient if exchangeable(lut) => true,
+            SolverMode::Quotient => {
+                return Err(ParamError::constraint(
+                    "quotient mode needs an exchangeable LUT: identical per-node \
+                     tables, symmetric in the received positions",
+                ))
             }
+        };
+        let dedup = symmetric && self.dedup_faults;
+        if symmetric {
+            solve(&mut self.orbits, lut, dedup, witness)
+        } else {
+            solve(&mut self.configs, lut, dedup, witness)
         }
     }
 }
@@ -755,7 +680,7 @@ mod tests {
             let mut failure = None;
             let mut sets = FaultSets::new(spec.n, spec.f);
             while let Some(fault_set) = sets.advance() {
-                let stats = analyzer.solver.run(&lut, fault_set).unwrap();
+                let stats = analyzer.configs.run(&lut, fault_set).unwrap();
                 total += stats.configs;
                 covered += stats.covered;
                 if stats.covered == stats.configs {
@@ -773,8 +698,10 @@ mod tests {
         let sets: Vec<Vec<usize>> = FaultSets::new(4, 1).collect();
         for workers in [2, 3, 5, 8] {
             let pool = sc_exec::Pool::new(workers - 1);
-            let mut solver = Solver::default();
-            let parallel = analyze_on_pool(&pool, &mut solver, &lut, &sets, workers).unwrap();
+            let mut game = Game::<Configs>::default();
+            let parallel = analyze_on_pool(&pool, &mut game, &lut, &sets, workers)
+                .unwrap()
+                .finish();
             assert_eq!(parallel, serial, "fan-out with {workers} workers diverges");
         }
     }
@@ -812,5 +739,25 @@ mod tests {
         let big = lut(spec);
         assert!(Analyzer::with_mode(SolverMode::Full).analyze(&big).is_err());
         assert!(verify(&big).is_ok());
+
+        // 65 correct nodes on one state: a single configuration and a
+        // single orbit, but more honest positions than the odometers hold.
+        // Every mode must refuse it with the same typed error, in `analyze`
+        // and in `verify` alike.
+        let wide = lut(LutSpec {
+            n: 65,
+            f: 0,
+            c: 2,
+            states: 1,
+            transition: vec![vec![0]; 65],
+            output: vec![vec![0]; 65],
+            stabilization_bound: 0,
+        });
+        let want = ParamError::overflow("65 correct nodes exceed the odometer width");
+        for mode in [SolverMode::Auto, SolverMode::Full, SolverMode::Quotient] {
+            let mut analyzer = Analyzer::with_mode(mode);
+            assert_eq!(analyzer.analyze(&wide), Err(want.clone()), "{mode:?}");
+            assert_eq!(analyzer.verify(&wide), Err(want.clone()), "{mode:?}");
+        }
     }
 }

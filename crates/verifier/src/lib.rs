@@ -24,14 +24,16 @@
 //!   E7; SAT-grade synthesis for `n = 4, f = 1` (which took considerable
 //!   computation in \[5\]) is outside a unit-test budget.
 //! * [`mod@reference`] — the retained first-generation checker (successor
-//!   lists, full sweeps, seed limits), kept as the bitwise-equivalence
-//!   oracle for the cross-check tests and the bench baseline.
+//!   lists, full sweeps, seed limits), the one bitwise-equivalence oracle
+//!   of the cross-check tests and the bench baseline.
 //!
 //! # How verification works
 //!
 //! Fix a fault set `F`. A *configuration* assigns a state to every correct
 //! node (the paper's `π_F` projection). The checker solves a safety game on
-//! a compact bitset representation:
+//! a compact bitset representation, with one solver core generic over the
+//! index a bit stands for: a configuration, or an orbit of configurations
+//! (below). Over configurations:
 //!
 //! * **Successor masks.** For each correct node `i` the set of possible
 //!   next states `S_i(e)` is one 64-bit mask (bit `σ` ⇔ some Byzantine
@@ -73,10 +75,14 @@
 //! For **exchangeable** tables — identical per-node tables, invariant
 //! under permuting received positions — the whole game factors through
 //! multisets of honest states, and [`Analyzer`] (in the default
-//! [`SolverMode::Auto`]) solves it over `C(|X|+h−1, h)` *orbits* instead
-//! of `|X|^h` configurations, with bitwise-identical summaries, verdicts
-//! and witnesses (see [`mod@reference`]'s successor, the retained full
-//! solver, and the `tests/quotient_cross.rs` equivalence gate). Fault
+//! [`SolverMode::Auto`]) runs the same core over `C(|X|+h−1, h)` *orbits*
+//! instead of `|X|^h` configurations: one receiver-independent successor
+//! mask per orbit, predecessor bitsets per state, and each orbit weighted
+//! by its multinomial cardinality in the statistics. Summaries, verdicts
+//! and witnesses are bitwise identical to the configuration indexing's
+//! ([`SolverMode::Full`]; the `tests/quotient_cross.rs` equivalence
+//! gate), and every configuration's attractor time equals the reference
+//! checker's under both indexings (a unit test of the core). Fault
 //! sets of equal size play isomorphic games on such tables, so
 //! [`Analyzer::dedup_fault_sets`] solves one representative per size with
 //! multiplicity `C(n, k)`. On top, [`sweep_family`] drives a declared
@@ -112,7 +118,6 @@
 
 mod checker;
 mod game;
-mod orbit;
 mod progress;
 pub mod reference;
 mod synthesis;

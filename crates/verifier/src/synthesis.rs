@@ -257,7 +257,7 @@ pub struct SweepLedger {
 /// transition tables over `n` nodes. Rows are grouped into classes by the
 /// multiset of received states; a candidate assigns one next-state per
 /// class, shared by every node — so every candidate is exchangeable by
-/// construction and the orbit-quotient engine (`crate::orbit`) applies.
+/// construction and the orbit quotient (`crate::game::Orbits`) applies.
 /// Output tables are fixed to `h(v, s) = s mod c`, as in [`synthesize`].
 ///
 /// The family size is `|X|^classes` with `classes = C(|X|+n−1, n)` — e.g.
@@ -801,7 +801,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for index in 0..family.len().unwrap() {
             family.instantiate(index, &mut lut);
-            assert!(crate::orbit::exchangeable(&lut), "candidate {index}");
+            assert!(crate::game::exchangeable(&lut), "candidate {index}");
             assert!(seen.insert(lut.spec().transition[0].clone()));
         }
     }
