@@ -198,7 +198,7 @@ pub struct Analyzer {
 /// Checks every fault set of `lut` on `game` — with `dedup`, one
 /// representative per fault-set size — and, when `witness` is asked for,
 /// re-solves the first failing fault set to extract its lasso.
-fn solve<I: Index>(
+fn solve_on<I: Index>(
     game: &mut Game<I>,
     lut: &LutCounter,
     dedup: bool,
@@ -270,7 +270,12 @@ fn analyze_on_pool<I: Index>(
     let games: sc_exec::WorkerScratch<Game<I>> = sc_exec::WorkerScratch::new();
     let outcomes: Vec<Result<SetStats, ParamError>> = pool.map(sets.len(), cap, |index| {
         games.with(
-            || warm.lock().unwrap().take().unwrap_or_default(),
+            || {
+                warm.lock()
+                    .expect("the warm-game lock is held only to take, which cannot panic")
+                    .take()
+                    .unwrap_or_default()
+            },
             |g| g.run(lut, &sets[index]),
         )
     });
@@ -383,9 +388,9 @@ impl Analyzer {
         };
         let dedup = symmetric && self.dedup_faults;
         if symmetric {
-            solve(&mut self.orbits, lut, dedup, witness)
+            solve_on(&mut self.orbits, lut, dedup, witness)
         } else {
-            solve(&mut self.configs, lut, dedup, witness)
+            solve_on(&mut self.configs, lut, dedup, witness)
         }
     }
 }

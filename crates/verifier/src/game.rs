@@ -330,15 +330,9 @@ impl Index for Orbits {
     /// `honest[i]` — any placement indexes the same row of an exchangeable
     /// table.
     fn advance(&self, digits: &mut [u8], base: &mut usize, pow_h: &[usize]) {
-        let h = digits.len();
+        let top = (self.x - 1) as u8;
         let mut i = 0;
-        while digits[i]
-            == if i + 1 < h {
-                digits[i + 1]
-            } else {
-                (self.x - 1) as u8
-            }
-        {
+        while digits[i] == digits.get(i + 1).copied().unwrap_or(top) {
             i += 1;
         }
         digits[i] += 1;
