@@ -23,8 +23,8 @@
 //!   script edits between evaluations (the synthesiser's mutate/undo
 //!   pattern). [`Objective::attach_sliced`] reroutes evaluation through
 //!   the bit-sliced engine ([`sc_sim::SlicedBatch`]) — 64 scenarios per
-//!   word, verdicts bitwise-identical, ≥ 20× faster on deep stacks, but
-//!   always the full horizon (its docs say when that loses).
+//!   word, verdicts bitwise-identical, lanes frozen at Lemma 5's closure,
+//!   but no recurrence exit (its docs say when that loses).
 //! * **Search strategies** — [`search::random_search`],
 //!   [`search::hill_climb`], [`search::beam_search`] and the structured
 //!   annealer [`search::anneal`] (faulty-row copies, round swaps, prefix

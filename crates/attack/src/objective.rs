@@ -49,9 +49,10 @@ pub struct Delay {
 /// inner loop is the scalar [`Simulation::run_until_stable_early`]: scripted
 /// adversaries snapshot, so a run is decided at the first recurrence of a
 /// (configuration, script position) pair — stabilised or not — or at the
-/// counter's closure, and never executes the rounds after it. [`Objective::attach_sliced`] swaps in the
-/// bit-sliced engine, which has no early exit and always executes the full
-/// horizon, 64 scenarios per word; see there for which one to pick.
+/// counter's closure, and never executes the rounds after it.
+/// [`Objective::attach_sliced`] swaps in the bit-sliced engine, 64
+/// scenarios per word, which takes the closure exit lane by lane but has no
+/// recurrence exit; see there for which one to pick.
 ///
 /// Candidates are edited **in place** between evaluations
 /// ([`Script::set_move`] mutate/undo); the harness itself never clones a
@@ -241,14 +242,16 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
     ///
     /// # When to attach
     ///
-    /// The sliced path gives up the early-decision exit: every evaluation
-    /// executes **all** `horizon` rounds for every lane group, and the
-    /// first evaluation of each new face pattern pays a lowering. That is
-    /// the right trade when the sweep fills its lanes and the horizon is
-    /// far below any recurrence — A(12,3) with 64 scenarios at 96 rounds,
-    /// or near-bound sweeps on A(36,7), whose configurations never recur
-    /// inside a horizon (≥ 20× the scalar path there). It is the wrong one
-    /// when the state space is tiny and the horizon covers it: with
+    /// The sliced path keeps the scalar engine's closure exit but not its
+    /// recurrence exit. Under a script without stale moves a lane freezes
+    /// the round its correct nodes are closed (Lemma 5,
+    /// [`SlicedProtocol::closed_lanes`]) and a sweep stops once every lane
+    /// has; any other lane executes all `horizon` rounds, and the first
+    /// evaluation of each new face pattern pays a lowering. That is the
+    /// right trade for the boosted counters, whose runs close: A(12,3) with
+    /// 64 scenarios at 96 rounds, whose annealing sweeps mostly stop in
+    /// the first third of the horizon, or near-bound sweeps on A(36,7). It
+    /// is the wrong one for table-driven counters, which never close: with
     /// `horizon ≥ |X|^n` every scripted lasso recurs early, the scalar path
     /// stops after tens of rounds, and a sliced sweep with 4 of 64 lanes
     /// occupied still runs the whole horizon — the synthesis pre-filter
@@ -281,12 +284,13 @@ impl<'a, P: Counter, R> Objective<'a, P, R> {
         // One word of lanes per group and a single worker: an objective
         // evaluation is already one task of the search's own thread fan-out,
         // and sweeps are scored serially on the scalar path too.
+        let batch = SlicedBatch::new(protocol, horizon).lane_words(1).threads(1);
+        // The initial configurations never change between evaluations, so
+        // they are packed here, once; a sweep copies them into its arena.
+        let sweep = batch.pack(&scenarios, &model);
         self.sliced = Some(Arc::new(move |script: &Script| {
             let strategy = SlicedScript::new(script, &vocabulary[..]);
-            let report = SlicedBatch::new(protocol, horizon)
-                .lane_words(1)
-                .threads(1)
-                .run_with_model(&scenarios, &strategy, &model);
+            let report = batch.run_packed(&sweep, &strategy, &model);
             let confirm = required_confirmation(protocol.modulus());
             let mut delay = Delay::default();
             for outcome in report.outcomes {

@@ -24,8 +24,9 @@
 //! scripted run — the script is a lasso and snapshots — revisits a
 //! (configuration, script position) pair long before the horizon, and the
 //! verdict for the remaining rounds is replayed algebraically: a sweep
-//! costs tens of rounds per scenario, not `|X|^n`. The bit-sliced path
-//! would execute the full horizon for a handful of occupied lanes (251
+//! costs tens of rounds per scenario, not `|X|^n`. The bit-sliced path has
+//! no recurrence exit, and table-driven counters never close, so it would
+//! execute the full horizon for a handful of occupied lanes (251
 //! rounds with 4 of 64 lanes at `n = 5, |X| = 3`) and re-lower the
 //! candidate's table for every new face pattern — measured 36× slower on
 //! the `n = 5, |X| = 3` campaign.

@@ -5,6 +5,8 @@
 //!   ([`Objective::evaluate_full`]), under in-place mutation chains;
 //! * ragged sweeps (scenario counts straddling the 64-lane word boundary)
 //!   keep the equality;
+//! * so does the `attack-search` shape on A(12,3), where most lanes freeze
+//!   at Lemma 5's closure before the horizon;
 //! * the plane transpose (`pack_lane` / `unpack_lane`) round-trips
 //!   arbitrary bundles at arbitrary lane positions.
 
@@ -116,6 +118,36 @@ fn ragged_multiword_sweep_matches_scalar_oracle() {
         "a live attack sweep should register delay: {sliced:?}"
     );
     assert_eq!(obj.evaluations(), 2);
+}
+
+/// The `attack-search` shape: A(12,3) with the Figure-2 fault set, 64
+/// scenarios of 96 rounds, echo scripts of 4 rounds. Most lanes close
+/// inside the horizon, so the sliced sweeps freeze lanes and stop lane
+/// groups early; along a 20-step mutate chain every sliced score must equal
+/// the scalar full-horizon oracle's.
+#[test]
+fn a12_search_shape_mutate_chain_matches_scalar_oracle() {
+    let algo = CounterBuilder::corollary1(1, 2)
+        .unwrap()
+        .boost(3)
+        .unwrap()
+        .build()
+        .unwrap();
+    let faulty = vec![0, 1, 4];
+    let space = MoveSpace::echoes(2);
+    let mut rng = SmallRng::seed_from_u64(0xa12);
+    let mut script = Script::random(12, faulty.clone(), 4, 0, &space, &mut rng);
+    let mut obj = Objective::new(&algo, &algo, faulty, 0..64, 96).unwrap();
+    assert!(obj.attach_sliced(), "A(12,3) must lower");
+    for step in 0..=20 {
+        let sliced = obj.evaluate(&script);
+        let scalar = obj.evaluate_full(&script);
+        assert_eq!(sliced, scalar, "mutation step {step}");
+        let round = rng.random_range(0..4usize);
+        let g = rng.random_range(0..3usize);
+        let to = rng.random_range(0..12usize);
+        script.set_move(round, g, to, space.sample(&mut rng));
+    }
 }
 
 /// Stacks outside the lowering's gate (a boosting layer with `m = 3`) leave

@@ -300,10 +300,11 @@ impl Counter for Algorithm {
     }
 
     /// Trivial: always — the one node increments its own value. Boosted:
-    /// the outermost layer's registers agree on a finite `a` with `d = 1`
-    /// ([`BoostedCounter::closed`], Lemma 5); the output reads `a` alone,
-    /// so the layers beneath need not have stabilised. Table-driven: never,
-    /// until a table's closed set is derived.
+    /// with at most F faulty nodes, the outermost layer's registers agree on
+    /// a finite `a` with `d = 1` ([`BoostedCounter::closed`], Lemma 5); the
+    /// output reads `a` alone, so the layers beneath need not have
+    /// stabilised. Table-driven: never, until a table's closed set is
+    /// derived.
     fn closed(&self, states: &[CounterState], honest: &[NodeId]) -> bool {
         match self {
             Algorithm::Trivial(_) => true,

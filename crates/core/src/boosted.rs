@@ -150,8 +150,9 @@ impl BoostedCounter {
         )
     }
 
-    /// Lemma 5's configuration: every correct node of `honest` holds the
-    /// same registers `(a, d = 1)` with a finite `a < C`.
+    /// Lemma 5's configuration: at most F nodes lie outside `honest`, and
+    /// every correct node of `honest` holds the same registers `(a, d = 1)`
+    /// with a finite `a < C`.
     ///
     /// Table 2 maps such a node's `(a, 1)` to `(a + 1 mod C, 1)` in every
     /// instruction set, whatever slot it executes and whatever the ≤ F
@@ -161,8 +162,12 @@ impl BoostedCounter {
     /// every round, and the output — a function of `a` alone — counts
     /// modulo C from here to any horizon. (`sc-consensus`'s
     /// `table2_closure` suite checks the instruction sets exhaustively at
-    /// small N.)
+    /// small N.) With more than F faulty nodes the thresholds no longer
+    /// hold, and the faulty nodes can break the agreement.
     pub fn closed(&self, states: &[CounterState], honest: &[NodeId]) -> bool {
+        if honest.len() + self.params.f_total() < self.params.n_total() {
+            return false;
+        }
         // The registers are the low `regs_bits` of the word: `a` with
         // `∞ ↦ C` above `d` in bit 0.
         let regs = |id: &NodeId| states[id.index()].word() & ((1 << self.regs_bits) - 1);

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sc_protocol::{
-    bits_for, BitVec, Counter, FaceRef, NodeId, Program, RoundFaces, SlicedLayout, Space,
+    bits_for, BitVec, Counter, FaceRef, NodeId, PlaneBuf, Program, RoundFaces, SlicedLayout, Space,
     SyncProtocol,
 };
 use sc_sim::{RoundProgramSource, SlicedProtocol};
@@ -658,6 +658,74 @@ impl SlicedProtocol for Algorithm {
         SlicedAlgorithm::new(self.clone(), faulty)
             .map(|m| Box::new(m) as Box<dyn RoundProgramSource + Send>)
     }
+
+    /// [`Counter::closed`](sc_protocol::Counter::closed) lane by lane:
+    /// trivial always, table-driven never, boosted by Lemma 5 over the
+    /// outermost registers.
+    fn closed_lanes(
+        &self,
+        arena: &PlaneBuf,
+        layout: &SlicedLayout,
+        honest: &[u32],
+        closed: &mut [u64],
+    ) {
+        match self {
+            Algorithm::Trivial(_) => closed.fill(u64::MAX),
+            Algorithm::Lut(_) => closed.fill(0),
+            Algorithm::Boosted(bc) => closed_lanes_boosted(bc, arena, layout, honest, closed),
+        }
+    }
+}
+
+/// [`BoostedCounter::closed`] for 64 lanes a word. A bundle holds the codec
+/// word most significant bit first — the inner state, then the outermost
+/// `a` (`∞` encoded as C), then `d` in the state's last plane — so within
+/// the fault budget a lane is closed where every correct node's `d` plane
+/// is set, its `a` planes equal the first correct node's, and that `a` is
+/// below C.
+fn closed_lanes_boosted(
+    bc: &BoostedCounter,
+    arena: &PlaneBuf,
+    layout: &SlicedLayout,
+    honest: &[u32],
+    closed: &mut [u64],
+) {
+    let a_off = bc.inner().state_bits() as usize;
+    let aw = (bc.regs_bits - 1) as usize;
+    let d_off = a_off + aw;
+    debug_assert_eq!(d_off + 1, layout.state_bits as usize);
+    let p = bc.params();
+    let c = p.c_out();
+    let first = match honest.first() {
+        Some(&first) if honest.len() + p.f_total() >= p.n_total() => first,
+        _ => {
+            closed.fill(0);
+            return;
+        }
+    };
+    let a0 = layout.node_base(first) as usize + a_off;
+    for (k, word) in closed.iter_mut().enumerate() {
+        // `a < C` on the first node's planes, from the most significant.
+        let (mut below, mut equal) = (0u64, u64::MAX);
+        for i in 0..aw {
+            let x = arena.word(a0 + i, k);
+            if (c >> (aw - 1 - i)) & 1 == 1 {
+                below |= equal & !x;
+                equal &= x;
+            } else {
+                equal &= !x;
+            }
+        }
+        let mut lanes = below;
+        for &h in honest {
+            let base = layout.node_base(h) as usize;
+            lanes &= arena.word(base + d_off, k);
+            for i in 0..aw {
+                lanes &= !(arena.word(base + a_off + i, k) ^ arena.word(a0 + i, k));
+            }
+        }
+        *word = lanes;
+    }
 }
 
 #[cfg(test)]
@@ -850,6 +918,138 @@ mod tests {
             let program = model.round_program(&mixed);
             assert_eq!(program.unwritten_read(), None, "n = {n}, mixed faces");
         }
+    }
+
+    /// `closed_lanes` equals `Counter::closed` lane by lane on packed
+    /// configurations of the Figure-2 stacks with their fault sets, and
+    /// with one fault beyond the budget, where nothing is closed. Lanes
+    /// cycle through random configurations, closed ones (every correct node
+    /// on the same `(a, 1)`, `a < C`) and their near misses: one correct
+    /// node with `d = 0`, one bit of one correct node's `a` flipped, every
+    /// `a = C` (∞), and the out-of-domain `a = C + 1` where the width
+    /// holds it.
+    #[test]
+    fn closed_lanes_match_the_scalar_predicate() {
+        use rand::Rng;
+        for (algo, faulty) in [
+            (a4(), vec![2]),
+            (a4(), vec![0, 2]),
+            (a12(), vec![0, 1, 4]),
+            (a12(), vec![0, 1, 4, 7]),
+            (a36(), vec![0, 1, 2, 3, 4, 12, 24]),
+        ] {
+            let n = algo.n();
+            let within = faulty.len() <= algo.resilience();
+            let bc = algo.boosting_layer().expect("the Figure-2 stacks boost");
+            let c = bc.params().c_out();
+            let aw = bc.regs_bits - 1;
+            let faulty: Vec<NodeId> = faulty.into_iter().map(NodeId::new).collect();
+            let honest: Vec<NodeId> = (0..n)
+                .map(NodeId::new)
+                .filter(|v| !faulty.contains(v))
+                .collect();
+            let honest_ids: Vec<u32> = honest.iter().map(|v| v.index() as u32).collect();
+            let layout = algo.sliced_model(&faulty).expect("lowers").layout();
+            // The outermost registers of `state` replaced by `(raw a, d)`.
+            let regs = |state: CounterState, raw: u64, d: bool| {
+                let mask = (1u128 << bc.regs_bits) - 1;
+                CounterState::new((state.word() & !mask) | (u128::from(raw) << 1) | u128::from(d))
+            };
+            let mut rng = SmallRng::seed_from_u64(0xc105ed);
+            let lanes = 3 * 64 - 11;
+            let mut arena = PlaneBuf::new(layout.total_planes() as usize, 3);
+            let mut configs = Vec::new();
+            for lane in 0..lanes {
+                let mut config: Vec<CounterState> = (0..n)
+                    .map(|v| algo.random_state(NodeId::new(v), &mut rng))
+                    .collect();
+                let kind = lane % 6;
+                if kind > 0 {
+                    let a = rng.random_range(0..c);
+                    for v in &honest {
+                        config[v.index()] = regs(config[v.index()], a, true);
+                    }
+                    let v = honest[rng.random_range(0..honest.len())].index();
+                    match kind {
+                        2 => config[v] = regs(config[v], a, false),
+                        3 => {
+                            let flipped = a ^ (1 << rng.random_range(0..aw));
+                            config[v] = regs(config[v], flipped, true);
+                        }
+                        4 | 5 => {
+                            let raw = if kind == 5 && c + 1 < 1 << aw {
+                                c + 1
+                            } else {
+                                c
+                            };
+                            for v in &honest {
+                                config[v.index()] = regs(config[v.index()], raw, true);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                for (v, state) in config.iter().enumerate() {
+                    let mut bits = BitVec::new();
+                    algo.encode_state(NodeId::new(v), state, &mut bits);
+                    arena.pack_lane(lane, layout.node_base(v as u32) as usize, &bits);
+                }
+                configs.push(config);
+            }
+            let mut closed = vec![0; 3];
+            algo.closed_lanes(&arena, &layout, &honest_ids, &mut closed);
+            for (lane, config) in configs.iter().enumerate() {
+                let bit = (closed[lane / 64] >> (lane % 64)) & 1 == 1;
+                assert_eq!(bit, algo.closed(config, &honest), "n = {n}, lane {lane}");
+                match lane % 6 {
+                    0 => {}
+                    kind => assert_eq!(
+                        bit,
+                        within && kind == 1,
+                        "n = {n}, lane {lane}: kind {kind}"
+                    ),
+                }
+            }
+            assert_eq!(
+                closed[2] >> (lanes % 64),
+                0,
+                "n = {n}: lanes past the configs"
+            );
+        }
+    }
+
+    /// Table-driven counters never close, so their lanes never freeze;
+    /// the trivial counter always does.
+    #[test]
+    fn lut_lanes_never_close_and_trivial_ones_always_do() {
+        let spec = LutSpec {
+            n: 2,
+            f: 0,
+            c: 2,
+            states: 2,
+            transition: vec![vec![1, 0, 0, 1]; 2],
+            output: vec![vec![0, 1]; 2],
+            stabilization_bound: 1,
+        };
+        let lut = Algorithm::lut(spec).unwrap();
+        let layout = lut.sliced_model(&[]).expect("lowers").layout();
+        let arena = PlaneBuf::new(layout.total_planes() as usize, 2);
+        let mut closed = vec![u64::MAX; 2];
+        lut.closed_lanes(&arena, &layout, &[0, 1], &mut closed);
+        assert_eq!(closed, [0, 0]);
+        let report = SlicedBatch::new(&lut, 64)
+            .run(&Scenario::seeds(0..70), &sliced_crash(&lut, [1], &[0; 70]))
+            .expect("lowers");
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| o.exit_reason == sc_sim::ExitReason::FullHorizon));
+
+        let trivial = Algorithm::trivial(6).unwrap();
+        let layout = trivial.sliced_model(&[]).expect("lowers").layout();
+        let arena = PlaneBuf::new(layout.total_planes() as usize, 2);
+        trivial.closed_lanes(&arena, &layout, &[0], &mut closed);
+        assert_eq!(closed, [u64::MAX, u64::MAX]);
     }
 
     #[test]

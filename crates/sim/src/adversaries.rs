@@ -42,7 +42,10 @@ use sc_protocol::{MessageSource, NodeId, SyncProtocol};
 
 use crate::adversary::{Adversary, AdversarySnapshot, RoundContext, SnapshotSupport};
 use crate::faced::FacedAdversary;
-use crate::sliced::{sliced_crash, SlicedPalette, SlicedReplay, SlicedTwoFacedPeriodic};
+use crate::sliced::{
+    sliced_crash, sliced_fixed, sliced_random_periodic, SlicedPalette, SlicedReplay,
+    SlicedTwoFacedPeriodic,
+};
 use crate::workspace::StatePool;
 
 /// Sorts, deduplicates and wraps raw faulty indices — the canonical
@@ -358,7 +361,7 @@ pub fn fixed<S: Clone>(
     faulty: impl IntoIterator<Item = usize>,
     state: S,
 ) -> FacedAdversary<SlicedPalette<S>, S> {
-    FacedAdversary::new(SlicedPalette::fixed(faulty, state))
+    FacedAdversary::new(sliced_fixed(faulty, state))
 }
 
 /// Two-faced equivocation with a **periodic, seed-derived donor schedule**:
@@ -400,8 +403,7 @@ pub fn random_periodic<P: SyncProtocol>(
     seed: u64,
     period: usize,
 ) -> FacedAdversary<SlicedPalette<P::State>, P::State> {
-    let palette = SlicedPalette::sampled(protocol, faulty, &[seed], period.max(1), protocol.n());
-    FacedAdversary::new(palette)
+    FacedAdversary::new(sliced_random_periodic(protocol, faulty, &[seed], period))
 }
 
 #[cfg(test)]

@@ -97,9 +97,9 @@ pub use metrics::{broadcast_metrics, BroadcastMetrics};
 pub use obs::SimObs;
 pub use simulation::{required_confirmation, Simulation};
 pub use sliced::{
-    sliced_crash, sliced_replay, sliced_two_faced_periodic, PackedInit, RoundProgramSource,
-    SlicedBatch, SlicedPalette, SlicedProtocol, SlicedReplay, SlicedStrategy,
-    SlicedTwoFacedPeriodic,
+    sliced_crash, sliced_fixed, sliced_random_periodic, sliced_replay, sliced_two_faced_periodic,
+    PackedInit, PackedSweep, RoundProgramSource, SlicedBatch, SlicedPalette, SlicedProtocol,
+    SlicedReplay, SlicedStrategy, SlicedTwoFacedPeriodic,
 };
 pub use stabilization::{
     detect_stabilization, first_stable_window, violation_rate, OnlineDetector, OutputTrace,

@@ -15,22 +15,26 @@
 //! and the throughput gate. Two ledger fields are engine-specific and
 //! deliberately excluded from that comparison:
 //! [`ScenarioOutcome::fabricated_states`] (the sliced engine has no message
-//! pool; it reports 0) and [`ScenarioOutcome::exit_reason`] (always
-//! [`ExitReason::FullHorizon`]; the sliced engine amortises rounds across
-//! lanes instead of exiting early).
+//! pool; it reports 0) and [`ScenarioOutcome::exit_reason`]. The sliced
+//! engine takes the closure exit lane by lane, at the scalar round
+//! ([`ExitReason::Closed`]), and has no cycle exit: every other lane runs
+//! the full horizon ([`ExitReason::FullHorizon`]).
 //!
 //! The pieces:
 //!
 //! * [`SlicedProtocol`] — a counter that can lower its transition to round
-//!   programs for a given fault set ([`RoundProgramSource`]).
+//!   programs for a given fault set ([`RoundProgramSource`]) and check
+//!   Lemma 5's closure word-parallel.
 //! * [`SlicedStrategy`] — a face schedule, the one form of an oblivious
 //!   adversary: one [`FaceRef`] per (faulty sender, receiver) pair per
 //!   round, plus packed constant bundles and per-lane gather donors. The
 //!   scalar engine plays it through [`crate::FacedAdversary`].
 //! * [`SlicedBatch`] — the sweep engine, mirroring [`crate::Batch`]'s
-//!   verdict pipeline ([`OnlineDetector`] per lane).
-//! * [`sliced_crash`] / [`sliced_replay`] / [`sliced_two_faced_periodic`] —
-//!   the library's oblivious strategies.
+//!   verdict pipeline ([`OnlineDetector`] per lane), and [`PackedSweep`],
+//!   its initial configurations packed once.
+//! * [`sliced_crash`] / [`sliced_fixed`] / [`sliced_random_periodic`] /
+//!   [`sliced_replay`] / [`sliced_two_faced_periodic`] — the library's
+//!   oblivious strategies.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -96,6 +100,25 @@ pub trait RoundProgramSource {
 pub trait SlicedProtocol: Counter {
     /// Builds the compiled model for a sorted fault set.
     fn sliced_model(&self, faulty: &[NodeId]) -> Option<Box<dyn RoundProgramSource + Send>>;
+
+    /// [`Counter::closed`] for 64 lanes a word: sets bit `lane % 64` of
+    /// `closed[lane / 64]` exactly where the lane's configuration in
+    /// `arena` (node bundles laid out by `layout`) is closed over the
+    /// correct nodes `honest`, and clears every other bit.
+    ///
+    /// [`SlicedBatch`] freezes a lane on a set bit, so a set bit carries
+    /// the proof obligation of [`Counter::closed`] and must agree with it
+    /// lane by lane. The default, never closed, is always sound.
+    fn closed_lanes(
+        &self,
+        arena: &PlaneBuf,
+        layout: &SlicedLayout,
+        honest: &[u32],
+        closed: &mut [u64],
+    ) {
+        let _ = (arena, layout, honest);
+        closed.fill(0);
+    }
 }
 
 /// Initial content of one packed bundle slot.
@@ -178,6 +201,15 @@ pub trait SlicedStrategy<S> {
 /// [`OnlineDetector`] the scalar engine uses — which is what makes verdict
 /// equality structural rather than coincidental. Groups fan out on the
 /// persistent [`sc_exec`] pool, claimed dynamically by its workers.
+///
+/// Under a ring-free schedule (`max_lag() == 0`, the schedules whose
+/// fabrication rate [`crate::FacedAdversary`] knows) a lane takes the
+/// scalar run loop's closure exit: before each round the group checks
+/// Lemma 5 word-parallel ([`SlicedProtocol::closed_lanes`]), a lane that
+/// is closed records the rest of the horizon as counting
+/// ([`ExitReason::Closed`] at the scalar round) and is not observed again,
+/// and the group stops executing once every lane is frozen. Replay rings
+/// run every lane to the horizon.
 #[derive(Clone, Copy, Debug)]
 pub struct SlicedBatch<'a, P> {
     protocol: &'a P,
@@ -185,6 +217,20 @@ pub struct SlicedBatch<'a, P> {
     threads: usize,
     lane_words: usize,
     obs: Option<&'a SimObs>,
+}
+
+/// A sweep's initial configurations, packed once into lane-group arenas by
+/// [`SlicedBatch::pack`] and run under any number of strategies by
+/// [`SlicedBatch::run_packed`] — for callers that score many adversaries
+/// on one fixed scenario list (attack objectives).
+#[derive(Debug)]
+pub struct PackedSweep {
+    /// Scenario seeds, in input order.
+    seeds: Vec<u64>,
+    lane_words: usize,
+    layout: SlicedLayout,
+    /// One `total_planes × lane_words` state arena per lane group.
+    groups: Vec<PlaneBuf>,
 }
 
 impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
@@ -237,7 +283,8 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
 
     /// [`run`](SlicedBatch::run) against a caller-owned model, so hot loops
     /// (attack objectives) reuse one compiled model — and its program cache
-    /// — across thousands of sweeps.
+    /// — across thousands of sweeps: [`pack`](SlicedBatch::pack), then
+    /// [`run_packed`](SlicedBatch::run_packed).
     pub fn run_with_model<S>(
         &self,
         scenarios: &[Scenario<P::State>],
@@ -249,12 +296,92 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         P: Sync,
         P::State: Send + Sync,
     {
+        self.run_packed(&self.pack(scenarios, model), strategy, model)
+    }
+
+    /// Packs the initial configurations of `scenarios` into the lane-group
+    /// arenas of this runner's `lane_words`: every node's state encoded,
+    /// extended by `model` and transposed into its lane. A scenario without
+    /// an explicit configuration draws one from its seed as
+    /// [`Simulation::new`](crate::Simulation::new) does (one `SmallRng`
+    /// per seed, nodes in id order). Groups pack on the pool, like runs.
+    pub fn pack(
+        &self,
+        scenarios: &[Scenario<P::State>],
+        model: &Mutex<Box<dyn RoundProgramSource + Send>>,
+    ) -> PackedSweep
+    where
+        P: Sync,
+        P::State: Sync,
+    {
+        let layout = model.lock().expect("model poisoned").layout();
+        let n = layout.n as usize;
+        let group_lanes = self.lane_words * 64;
+        let groups = sc_exec::map(scenarios.len().div_ceil(group_lanes), self.threads, |gi| {
+            let start = gi * group_lanes;
+            let end = (start + group_lanes).min(scenarios.len());
+            let mut arena = PlaneBuf::new(layout.total_planes() as usize, self.lane_words);
+            let m = model.lock().expect("model poisoned");
+            let mut bits = BitVec::new();
+            for (l, scenario) in scenarios[start..end].iter().enumerate() {
+                let sampled: Vec<P::State>;
+                let states = match &scenario.init {
+                    Some(states) => states,
+                    None => {
+                        let mut rng = SmallRng::seed_from_u64(scenario.seed);
+                        sampled = (0..n)
+                            .map(|i| self.protocol.random_state(NodeId::new(i), &mut rng))
+                            .collect();
+                        &sampled
+                    }
+                };
+                for (i, state) in states.iter().enumerate() {
+                    bits.clear();
+                    self.protocol.encode_state(NodeId::new(i), state, &mut bits);
+                    m.extend_bundle(i as u32, &mut bits);
+                    arena.pack_lane(l, layout.node_base(i as u32) as usize, &bits);
+                }
+            }
+            arena
+        });
+        PackedSweep {
+            seeds: scenarios.iter().map(|s| s.seed).collect(),
+            lane_words: self.lane_words,
+            layout,
+            groups,
+        }
+    }
+
+    /// Runs every scenario of a packed sweep under `strategy`, producing
+    /// verdicts in input order — [`run_with_model`](SlicedBatch::run_with_model)
+    /// without the packing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sweep` was packed at another `lane_words` or for a model
+    /// of another layout.
+    pub fn run_packed<S>(
+        &self,
+        sweep: &PackedSweep,
+        strategy: &S,
+        model: &Mutex<Box<dyn RoundProgramSource + Send>>,
+    ) -> BatchReport
+    where
+        S: SlicedStrategy<P::State> + Sync,
+        P: Sync,
+        P::State: Send + Sync,
+    {
+        assert_eq!(
+            sweep.lane_words, self.lane_words,
+            "the sweep was packed at another lane_words"
+        );
         let confirm = required_confirmation(self.protocol.modulus());
         if self.horizon < confirm {
-            let outcomes: Vec<ScenarioOutcome> = scenarios
+            let outcomes: Vec<ScenarioOutcome> = sweep
+                .seeds
                 .iter()
-                .map(|s| ScenarioOutcome {
-                    seed: s.seed,
+                .map(|&seed| ScenarioOutcome {
+                    seed,
                     result: Err(SimError::HorizonTooShort {
                         horizon: self.horizon,
                         required: confirm,
@@ -270,13 +397,17 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             }
             return BatchReport { outcomes };
         }
-        if scenarios.is_empty() {
+        if sweep.seeds.is_empty() {
             return BatchReport {
                 outcomes: Vec::new(),
             };
         }
 
         let layout = model.lock().expect("model poisoned").layout();
+        assert_eq!(
+            layout, sweep.layout,
+            "the sweep was packed for another model layout"
+        );
         let n = layout.n as usize;
         let faulty: Vec<NodeId> = strategy.faulty().to_vec();
         let honest: Vec<u32> = (0..n as u32)
@@ -303,20 +434,17 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             }
         }
 
-        let group_lanes = self.lane_words * 64;
-        let group_count = scenarios.len().div_ceil(group_lanes);
+        let group = Group {
+            sweep,
+            model,
+            faulty: &faulty,
+            honest: &honest,
+            confirm,
+        };
         let run_group = |gi: usize| -> Vec<ScenarioOutcome> {
-            let outcomes = self.run_group(
-                gi,
-                scenarios,
-                strategy,
-                model,
-                &layout,
-                &faulty,
-                &honest,
-                packed_inits,
-                confirm,
-            );
+            let outcomes = GROUP_SCRATCH.with(GroupScratch::new, |scr| {
+                self.run_group_with(scr, gi, &group, strategy)
+            });
             // Metered per lane group as workers finish, so a long sweep's
             // scenarios/s reads live rather than at the join.
             if let Some(obs) = self.obs {
@@ -329,69 +457,36 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
 
         // Workers claim groups dynamically, so long and short tails
         // load-balance; the pool restores input order.
-        let outcomes = sc_exec::map(group_count, self.threads, run_group)
+        let outcomes = sc_exec::map(sweep.groups.len(), self.threads, run_group)
             .into_iter()
             .flatten()
             .collect();
         BatchReport { outcomes }
     }
 
-    /// Packs, advances and adjudicates one lane group, on the calling
-    /// thread's warm [`GroupScratch`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_group<S>(
-        &self,
-        gi: usize,
-        scenarios: &[Scenario<P::State>],
-        strategy: &S,
-        model: &Mutex<Box<dyn RoundProgramSource + Send>>,
-        layout: &SlicedLayout,
-        faulty: &[NodeId],
-        honest: &[u32],
-        packed_inits: &[PackedInit<P::State>],
-        confirm: u64,
-    ) -> Vec<ScenarioOutcome>
-    where
-        S: SlicedStrategy<P::State>,
-    {
-        GROUP_SCRATCH.with(GroupScratch::new, |scr| {
-            self.run_group_with(
-                scr,
-                gi,
-                scenarios,
-                strategy,
-                model,
-                layout,
-                faulty,
-                honest,
-                packed_inits,
-                confirm,
-            )
-        })
-    }
-
-    /// [`run_group`](SlicedBatch::run_group)'s body, against explicit
-    /// scratch buffers.
-    #[allow(clippy::too_many_arguments)]
+    /// Advances and adjudicates lane group `gi` from its packed arena, on
+    /// the calling thread's warm scratch buffers.
     fn run_group_with<S>(
         &self,
         scr: &mut GroupScratch,
         gi: usize,
-        scenarios: &[Scenario<P::State>],
+        group: &Group<'_>,
         strategy: &S,
-        model: &Mutex<Box<dyn RoundProgramSource + Send>>,
-        layout: &SlicedLayout,
-        faulty: &[NodeId],
-        honest: &[u32],
-        packed_inits: &[PackedInit<P::State>],
-        confirm: u64,
     ) -> Vec<ScenarioOutcome>
     where
         S: SlicedStrategy<P::State>,
     {
+        let Group {
+            sweep,
+            model,
+            faulty,
+            honest,
+            confirm,
+        } = *group;
+        let layout = &sweep.layout;
         let group_lanes = self.lane_words * 64;
         let start = gi * group_lanes;
-        let end = (start + group_lanes).min(scenarios.len());
+        let end = (start + group_lanes).min(sweep.seeds.len());
         let active = end - start;
         let lw = self.lane_words;
         let n = layout.n as usize;
@@ -404,55 +499,34 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             tables,
             faulty.len(),
             n,
+            active,
         );
+        scr.cur.copy_from(&sweep.groups[gi]);
 
-        {
-            let m = model.lock().expect("model poisoned");
-            let mut bits = BitVec::new();
-            for (l, scenario) in scenarios[start..end].iter().enumerate() {
-                let states: Vec<P::State> = match &scenario.init {
-                    Some(states) => states.clone(),
-                    None => {
-                        // Mirror `Simulation::new`: one SmallRng per seed,
-                        // nodes sampled in id order.
-                        let mut rng = SmallRng::seed_from_u64(scenario.seed);
-                        (0..n)
-                            .map(|i| self.protocol.random_state(NodeId::new(i), &mut rng))
-                            .collect()
+        let mut bits = BitVec::new();
+        for init in strategy.packed_bundles() {
+            let buf = match init {
+                // Folded into constants at compile time; the slot is never
+                // loaded.
+                PackedInit::Uniform { .. } => PlaneBuf::new(0, lw),
+                PackedInit::PerLane { node, states } => {
+                    assert!(
+                        states.len() >= end,
+                        "per-lane packed bundle shorter than the scenario list"
+                    );
+                    let mut buf = scr.packed_arena(np, lw);
+                    let m = model.lock().expect("model poisoned");
+                    for l in 0..active {
+                        bits.clear();
+                        self.protocol
+                            .encode_state(*node, &states[start + l], &mut bits);
+                        m.extend_bundle(node.index() as u32, &mut bits);
+                        buf.pack_lane(l, 0, &bits);
                     }
-                };
-                for (i, state) in states.iter().enumerate() {
-                    bits.clear();
-                    self.protocol.encode_state(NodeId::new(i), state, &mut bits);
-                    m.extend_bundle(i as u32, &mut bits);
-                    scr.cur
-                        .pack_lane(l, layout.node_base(i as u32) as usize, &bits);
+                    buf
                 }
-            }
-            for init in packed_inits {
-                match init {
-                    PackedInit::Uniform { .. } => {
-                        // Folded into constants at compile time; the slot is
-                        // never loaded.
-                        scr.packed.push(PlaneBuf::new(0, lw));
-                    }
-                    PackedInit::PerLane { node, states } => {
-                        assert!(
-                            states.len() >= end,
-                            "per-lane packed bundle shorter than the scenario list"
-                        );
-                        let mut buf = scr.packed_arena(np, lw);
-                        for l in 0..active {
-                            bits.clear();
-                            self.protocol
-                                .encode_state(*node, &states[start + l], &mut bits);
-                            m.extend_bundle(node.index() as u32, &mut bits);
-                            buf.pack_lane(l, 0, &bits);
-                        }
-                        scr.packed.push(buf);
-                    }
-                }
-            }
+            };
+            scr.packed.push(buf);
         }
 
         scr.detectors
@@ -461,18 +535,24 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             &scr.cur,
             layout,
             honest,
-            active,
+            &scr.frozen,
             &mut scr.detectors,
             &mut scr.agree,
         );
 
         let max_lag = strategy.max_lag();
+        // The closure exit needs the fabrication rate, which only a
+        // ring-free schedule fixes (`FacedAdversary::fabrication_per_round`).
+        let freeze = max_lag == 0;
         for donor in &mut scr.donors {
             donor.clear();
             donor.resize(active, 0);
         }
 
         for round in 0..self.horizon {
+            if freeze && self.freeze_closed(scr, layout, honest, round) {
+                break;
+            }
             strategy.faces(round, n, &mut scr.faces);
             canonicalize_faces(&mut scr.faces, round, max_lag, faulty, n);
             let program = model
@@ -504,7 +584,7 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
                 &scr.next,
                 layout,
                 honest,
-                active,
+                &scr.frozen,
                 &mut scr.detectors,
                 &mut scr.agree,
             );
@@ -526,22 +606,61 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             std::mem::swap(&mut scr.cur, &mut scr.next);
         }
 
-        scenarios[start..end]
+        sweep.seeds[start..end]
             .iter()
             .zip(scr.detectors.drain(..))
-            .map(|(scenario, detector)| ScenarioOutcome {
-                seed: scenario.seed,
+            .zip(scr.exits.drain(..))
+            .map(|((&seed, detector), exit_reason)| ScenarioOutcome {
+                seed,
                 result: detector.finish(confirm),
                 fabricated_states: 0,
-                exit_reason: ExitReason::FullHorizon,
+                exit_reason,
             })
             .collect()
     }
+
+    /// The scalar run loop's closure exit for every lane at once, checked
+    /// before `round` executes: each live lane whose configuration is
+    /// closed ([`SlicedProtocol::closed_lanes`]) records the rest of the
+    /// horizon as counting, exits [`ExitReason::Closed`] at `round` and is
+    /// frozen. Returns whether every lane of the group is frozen.
+    fn freeze_closed(
+        &self,
+        scr: &mut GroupScratch,
+        layout: &SlicedLayout,
+        honest: &[u32],
+        round: u64,
+    ) -> bool {
+        self.protocol
+            .closed_lanes(&scr.cur, layout, honest, &mut scr.closed);
+        let rest = self.horizon - round;
+        for (k, (&closed, frozen)) in scr.closed.iter().zip(&mut scr.frozen).enumerate() {
+            let mut fresh = closed & !*frozen;
+            *frozen |= fresh;
+            while fresh != 0 {
+                let lane = k * 64 + fresh.trailing_zeros() as usize;
+                fresh &= fresh - 1;
+                scr.detectors[lane].extend_counting(rest);
+                scr.exits[lane] = ExitReason::Closed { decided_at: round };
+            }
+        }
+        scr.frozen.iter().all(|&w| w == u64::MAX)
+    }
 }
 
-/// Reusable per-worker buffers for [`SlicedBatch::run_group`] — the plane
-/// arenas, replay ring, gather scratch and face table every group would
-/// otherwise allocate from cold. Parked per OS thread in
+/// What every lane group of one [`SlicedBatch::run_packed`] call shares.
+#[derive(Clone, Copy)]
+struct Group<'g> {
+    sweep: &'g PackedSweep,
+    model: &'g Mutex<Box<dyn RoundProgramSource + Send>>,
+    faulty: &'g [NodeId],
+    honest: &'g [u32],
+    confirm: u64,
+}
+
+/// Reusable per-worker buffers for [`SlicedBatch::run_group_with`] — the
+/// plane arenas, replay ring, gather scratch and face table every group
+/// would otherwise allocate from cold. Parked per OS thread in
 /// [`GROUP_SCRATCH`], so hot callers (attack objectives sweep thousands
 /// of scripts through one `SlicedBatch` shape) reuse warm allocations
 /// across calls.
@@ -561,7 +680,13 @@ struct GroupScratch {
     donors: Vec<Vec<u32>>,
     donor_masks: Vec<u64>,
     detectors: Vec<OnlineDetector>,
+    /// Per active lane: how it finished.
+    exits: Vec<ExitReason>,
     agree: Vec<u64>,
+    /// Lane masks, one word per lane word: closed this round, and frozen
+    /// (closed earlier, or past the last active lane).
+    closed: Vec<u64>,
+    frozen: Vec<u64>,
     faces: RoundFaces,
     /// `Program::exec`'s op arena.
     exec: Vec<u64>,
@@ -580,15 +705,21 @@ impl GroupScratch {
             donors: Vec::new(),
             donor_masks: Vec::new(),
             detectors: Vec::new(),
+            exits: Vec::new(),
             agree: Vec::new(),
+            closed: Vec::new(),
+            frozen: Vec::new(),
             faces: RoundFaces::default(),
             exec: Vec::new(),
         }
     }
 
-    /// Re-shapes the buffers for one group: zeroes what survives a
-    /// matching shape, drops and rebuilds what does not. After this the
-    /// scratch is indistinguishable from freshly allocated buffers.
+    /// Re-shapes the buffers for one group of `active` lanes: resets what
+    /// survives a matching shape, drops and rebuilds what does not. After
+    /// this the scratch is indistinguishable from freshly allocated
+    /// buffers, except `cur`, which the caller overwrites with the group's
+    /// packed arena.
+    #[allow(clippy::too_many_arguments)]
     fn reshape(
         &mut self,
         total_planes: usize,
@@ -597,6 +728,7 @@ impl GroupScratch {
         tables: usize,
         faulty: usize,
         n: usize,
+        active: usize,
     ) {
         // Ring buffers share the state arenas' shape; park them first so
         // a matching reshape reuses them.
@@ -605,11 +737,9 @@ impl GroupScratch {
             self.cur = PlaneBuf::new(total_planes, lw);
             self.next = PlaneBuf::new(total_planes, lw);
             self.spare.clear();
-        } else {
-            // `next` is fully overwritten by `copy_from` each round and
-            // ring entries on insertion; only `cur` is packed additively.
-            self.cur.clear();
         }
+        // `next` is fully overwritten by `copy_from` each round and ring
+        // entries on insertion.
         self.packed_pool.append(&mut self.packed);
         self.packed_pool
             .retain(|buf| buf.planes() == np && buf.lane_words() == lw);
@@ -626,6 +756,17 @@ impl GroupScratch {
         self.donor_masks.clear();
         self.donor_masks.resize(n * lw, 0);
         self.detectors.clear();
+        self.exits.clear();
+        self.exits.resize(active, ExitReason::FullHorizon);
+        self.closed.clear();
+        self.closed.resize(lw, 0);
+        self.frozen.clear();
+        self.frozen
+            .extend((0..lw).map(|k| match active.saturating_sub(k * 64) {
+                0 => u64::MAX,
+                live if live >= 64 => 0,
+                live => u64::MAX << live,
+            }));
         self.faces = RoundFaces::new(faulty, n);
     }
 
@@ -675,14 +816,14 @@ fn canonicalize_faces(
     }
 }
 
-/// Word-parallel agreement check plus per-lane [`OnlineDetector`] feed —
-/// the sliced equivalent of observing
+/// Word-parallel agreement check plus a feed of the [`OnlineDetector`] of
+/// every lane not `frozen` — the sliced equivalent of observing
 /// [`Simulation::agreed_output_now`](crate::Simulation::agreed_output_now).
 fn observe_group(
     arena: &PlaneBuf,
     layout: &SlicedLayout,
     honest: &[u32],
-    active: usize,
+    frozen: &[u64],
     detectors: &mut [OnlineDetector],
     agree: &mut Vec<u64>,
 ) {
@@ -701,7 +842,10 @@ fn observe_group(
             *word &= eq;
         }
     }
-    for (lane, detector) in detectors.iter_mut().enumerate().take(active) {
+    for (lane, detector) in detectors.iter_mut().enumerate() {
+        if (frozen[lane / 64] >> (lane % 64)) & 1 == 1 {
+            continue;
+        }
         let agreed = if (agree[lane / 64] >> (lane % 64)) & 1 == 1 {
             Some(arena.read_value(lane, out0, ow))
         } else {
@@ -755,6 +899,44 @@ pub fn sliced_crash<P: sc_protocol::SyncProtocol>(
     SlicedPalette::sampled(protocol, faulty, seeds, 1, 1)
 }
 
+/// Face schedule of [`crate::adversaries::fixed`]: every faulty node shows
+/// `state` to every receiver, in every lane.
+pub fn sliced_fixed<S: Clone>(
+    faulty: impl IntoIterator<Item = usize>,
+    state: S,
+) -> SlicedPalette<S> {
+    let faulty = normalize_faults(faulty);
+    let packed = faulty
+        .iter()
+        .map(|&node| PackedInit::Uniform {
+            node,
+            state: state.clone(),
+        })
+        .collect();
+    SlicedPalette {
+        faulty,
+        period: 1,
+        width: 1,
+        packed,
+    }
+}
+
+/// Face schedule of [`crate::random_periodic`]: per lane, a palette of
+/// `period · |faulty| · n` states drawn from the lane's seed; round `t`
+/// shows entry `(t mod period, sender, receiver)`.
+///
+/// # Panics
+///
+/// Panics if the palette exceeds 65536 states.
+pub fn sliced_random_periodic<P: sc_protocol::SyncProtocol>(
+    protocol: &P,
+    faulty: impl IntoIterator<Item = usize>,
+    seeds: &[u64],
+    period: usize,
+) -> SlicedPalette<P::State> {
+    SlicedPalette::sampled(protocol, faulty, seeds, period.max(1), protocol.n())
+}
+
 /// A packed palette: round `t`, faulty node `g` shows receiver `v` bundle
 /// `(t mod period · f + g) · width + v mod width` — one per sender when
 /// `width` is 1 ([`sliced_crash`], [`crate::adversaries::fixed`]), one per
@@ -801,27 +983,6 @@ impl<S> SlicedPalette<S> {
             faulty,
             period,
             width,
-            packed,
-        }
-    }
-
-    /// Every faulty node shows `state`, in every lane.
-    pub(crate) fn fixed(faulty: impl IntoIterator<Item = usize>, state: S) -> Self
-    where
-        S: Clone,
-    {
-        let faulty = normalize_faults(faulty);
-        let packed = faulty
-            .iter()
-            .map(|&node| PackedInit::Uniform {
-                node,
-                state: state.clone(),
-            })
-            .collect();
-        SlicedPalette {
-            faulty,
-            period: 1,
-            width: 1,
             packed,
         }
     }
@@ -1232,6 +1393,23 @@ mod tests {
             .run(&scenarios, &strategy)
             .expect("FollowMax lowers");
         assert_eq!(verdicts(&scalar), verdicts(&sliced));
+    }
+
+    #[test]
+    fn follow_max_lanes_never_freeze() {
+        // FollowMax keeps the default predicate: under a ring-free schedule
+        // every lane still runs the full horizon.
+        let p = FollowMax { n: 5, c: 8 };
+        let scenarios = Scenario::seeds(0..70);
+        let strategy = sliced_fixed([1], 3u64);
+        let report = SlicedBatch::new(&p, 64)
+            .lane_words(1)
+            .run(&scenarios, &strategy)
+            .unwrap();
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| o.exit_reason == ExitReason::FullHorizon));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use sc_protocol::{
 };
 
 use crate::adversary::RoundContext;
+use crate::sliced::{RoundProgramSource, SlicedProtocol};
 use crate::workspace::FaultMask;
 
 /// Owns everything a [`RoundContext`] borrows — broadcast states, the sorted
@@ -226,5 +227,14 @@ impl<P: PreparedProtocol> PreparedProtocol for NeverClosed<'_, P> {
         ctx: &mut StepContext<'_>,
     ) -> P::State {
         self.0.step_prepared(node, view, prep, ctx)
+    }
+}
+
+/// The wrapped protocol's sliced model; its lanes are never closed
+/// ([`SlicedProtocol::closed_lanes`]'s default), so sliced sweeps run every
+/// lane to the horizon.
+impl<P: SlicedProtocol> SlicedProtocol for NeverClosed<'_, P> {
+    fn sliced_model(&self, faulty: &[NodeId]) -> Option<Box<dyn RoundProgramSource + Send>> {
+        self.0.sliced_model(faulty)
     }
 }

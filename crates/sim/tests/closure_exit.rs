@@ -16,9 +16,10 @@
 
 use sc_core::{adversaries as core_adv, Algorithm, CounterBuilder, CounterState};
 use sc_protocol::Counter;
+use sc_sim::testing::NeverClosed;
 use sc_sim::{
-    adversaries, required_confirmation, sleeper, Adversary, Batch, ExitReason, OnlineDetector,
-    Scenario, Simulation,
+    adversaries, random_periodic, required_confirmation, sleeper, Adversary, Batch, ExitReason,
+    OnlineDetector, Scenario, Simulation,
 };
 
 fn figure2(boosts: usize) -> Algorithm {
@@ -153,4 +154,45 @@ fn closure_exit_is_exact_on_a36() {
     // rounds; an unoptimised build checks one seed, a release build two.
     let seeds = if cfg!(debug_assertions) { 0..1 } else { 0..2 };
     sweep("A(36,7)", &figure2(2), &[0, 1, 2, 3, 4, 12, 24], seeds);
+}
+
+#[test]
+fn over_budget_fault_sets_never_close() {
+    // Lemma 5 covers at most F faulty nodes. With one more, the faulty
+    // nodes can break the correct registers' agreement after it formed, so
+    // no run may take the closure exit, and every verdict must be the one
+    // with closure switched off.
+    let a4 = CounterBuilder::corollary1(1, 8).unwrap().build().unwrap();
+    let a12 = figure2(1);
+    for (label, algo, faulty, seeds) in [
+        ("A(4,1)", &a4, vec![0, 1], 0..16),
+        ("A(12,3)", &a12, vec![0, 1, 4, 7], 0..2),
+    ] {
+        assert!(faulty.len() > algo.resilience());
+        let horizon = algo.stabilization_bound() + 64;
+        let scenarios = Scenario::seeds(seeds);
+        let f = || faulty.iter().copied();
+        let random = |s: &Scenario<CounterState>| random_periodic(algo, f(), s.seed, 2);
+        let crash = |s: &Scenario<CounterState>| adversaries::crash(algo, f(), s.seed);
+        let runs = [
+            (
+                Batch::new(algo, horizon).run_prepared(&scenarios, random),
+                Batch::new(&NeverClosed(algo), horizon).run_prepared(&scenarios, random),
+            ),
+            (
+                Batch::new(algo, horizon).run_prepared(&scenarios, crash),
+                Batch::new(&NeverClosed(algo), horizon).run_prepared(&scenarios, crash),
+            ),
+        ];
+        for (report, open) in &runs {
+            for (outcome, open) in report.outcomes.iter().zip(&open.outcomes) {
+                let seed = outcome.seed;
+                assert!(
+                    !matches!(outcome.exit_reason, ExitReason::Closed { .. }),
+                    "{label} (seed {seed}): closed beyond the fault budget"
+                );
+                assert_eq!(outcome.result, open.result, "{label} (seed {seed})");
+            }
+        }
+    }
 }

@@ -2,7 +2,10 @@
 //! and metering must not perturb verdicts.
 
 use sc_sim::testing::FollowMax;
-use sc_sim::{adversaries, Batch, ExitReason, Scenario, SimObs};
+use sc_sim::{
+    adversaries, sliced_replay, sliced_two_faced_periodic, Batch, ExitReason, Scenario, SimObs,
+    SlicedBatch,
+};
 
 #[test]
 fn batch_meters_match_the_report() {
@@ -125,4 +128,51 @@ fn closure_exits_tally_on_a12() {
         "two-faced A(12,3) runs close within the horizon"
     );
     assert!(report.rounds_saved(horizon) > 0);
+}
+
+#[test]
+fn sliced_closure_exits_tally_on_a12() {
+    // The sliced twin of `closure_exits_tally_on_a12`: under a ring-free
+    // two-faced schedule a lane group freezes every lane whose correct
+    // registers agree (Lemma 5) and meters each as `sim.exit.closed`; a
+    // replay schedule reads a ring, never freezes, and tallies none.
+    let algo = sc_core::CounterBuilder::corollary1(1, 2)
+        .unwrap()
+        .boost(3)
+        .unwrap()
+        .build()
+        .unwrap();
+    let horizon = sc_protocol::Counter::stabilization_bound(&algo) + 64;
+    let scenarios = Scenario::seeds(0..8);
+    let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
+
+    let obs = SimObs::recording();
+    let strategy = sliced_two_faced_periodic(12, [0, 1, 4], &seeds, 2);
+    let report = SlicedBatch::new(&algo, horizon)
+        .observed(&obs)
+        .run(&scenarios, &strategy)
+        .expect("A(12,3) lowers");
+    let metrics = obs.metrics().expect("recording bundle");
+    let closed = report
+        .outcomes
+        .iter()
+        .filter(|o| matches!(o.exit_reason, ExitReason::Closed { .. }))
+        .count() as u64;
+    assert_eq!(metrics.counter("sim.exit.closed"), Some(closed));
+    assert_eq!(metrics.counter("sim.exit.full_horizon"), Some(8 - closed));
+    assert!(
+        closed > 0,
+        "two-faced A(12,3) lanes close within the horizon"
+    );
+    assert!(report.rounds_saved(horizon) > 0);
+
+    let obs = SimObs::recording();
+    let report = SlicedBatch::new(&algo, horizon)
+        .observed(&obs)
+        .run(&scenarios, &sliced_replay(12, [0, 1, 4], 3))
+        .expect("A(12,3) lowers");
+    let metrics = obs.metrics().expect("recording bundle");
+    assert_eq!(metrics.counter("sim.exit.closed"), Some(0));
+    assert_eq!(metrics.counter("sim.exit.full_horizon"), Some(8));
+    assert_eq!(report.early_exits(), 0);
 }
